@@ -2,6 +2,11 @@
 
 Feeds identical certified instances to both implementations, insists the
 answers stay bit-for-bit equal, and prints per-k medians with the speedup.
+Each instance is timed twice: one query through `min_norm_point` (best of
+3), and one batch of 64 exterior queries through `solve_many`, the path the
+pixel pipeline takes. The pure engine computes the root redundancy mask
+once per batch and the compiled one once per query, so the two speedups
+differ.
 
     python benchmarks/compare_engines.py
     python benchmarks/compare_engines.py --mode n-eq-k --k 4..14 --reps 30
@@ -18,7 +23,21 @@ import time
 
 import numpy as np
 
-from polyx import _kernel, bench, cli
+from polyx import _kernel, bench, cli, rng
+
+BATCH = 64
+
+
+def exterior_batch(V, S, seed: int) -> np.ndarray:
+    """BATCH seeded queries at radius 2 to 5 from the interior origin, all outside."""
+    gen = rng.stream(seed, "compare-batch")
+    rows = []
+    while len(rows) < BATCH:
+        u = gen.normal(size=V.shape[1])
+        x = gen.uniform(2.0, 5.0) * u / np.linalg.norm(u)
+        if (V @ x - S).max() > 1e-6:
+            rows.append(x)
+    return np.array(rows)
 
 
 def time_solve(impl, V, S, x, budget: float) -> tuple[int, np.ndarray, int]:
@@ -37,6 +56,15 @@ def time_solve(impl, V, S, x, budget: float) -> tuple[int, np.ndarray, int]:
     return best, point, nodes
 
 
+def time_batch(impl, V, S, X, budget: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Wall time in ns of one solve_many call (64 solves already average out
+    the noise), then (Y, nodes, status)."""
+    t0 = time.perf_counter_ns()
+    Y, _, nodes, status = impl.solve_many(V, S, X, time_budget=budget)
+    ns = time.perf_counter_ns() - t0
+    return ns, np.asarray(Y), np.asarray(nodes), np.asarray(status)
+
+
 def run(args) -> list[dict]:
     engines = _kernel.engines()
     if "native" not in engines:
@@ -45,34 +73,49 @@ def run(args) -> list[dict]:
     rows = []
     for k in args.k_values:
         n = args.n_fixed if args.mode == "fixed-n" else k
-        per_engine = {name: [] for name in engines}
+        single = {name: [] for name in engines}
+        batch = {name: [] for name in engines}
         for rep in range(args.reps):
-            P, x = bench.random_polyhedron(n, k, seed=args.seed + 1000 * k + rep)
+            seed = args.seed + 1000 * k + rep
+            P, x = bench.random_polyhedron(n, k, seed=seed)
             V, S = P.matrix()
-            points = {}
-            counts = {}
+            X = exterior_batch(V, S, seed)
+            points, counts, batches = {}, {}, {}
             for name, impl in engines.items():
-                ns, y, nodes = time_solve(impl, V, S, x, args.budget)
-                per_engine[name].append(ns)
-                points[name] = y
-                counts[name] = nodes
+                ns, points[name], counts[name] = time_solve(impl, V, S, x, args.budget)
+                single[name].append(ns)
+                ns, *batches[name] = time_batch(impl, V, S, X, args.budget)
+                batch[name].append(ns)
             # same decision path, coordinates equal to round-off
             if counts["native"] != counts["python"] or not np.allclose(
                 points["native"], points["python"], atol=1e-9
             ):
                 raise RuntimeError(f"engines disagree at n={n} k={k} rep={rep}")
+            (Yn, nn, sn), (Yp, npy, sp) = batches["native"], batches["python"]
+            if not (
+                np.array_equal(sn, sp)
+                and np.array_equal(nn, npy)
+                and np.allclose(Yn, Yp, atol=1e-9)
+            ):
+                raise RuntimeError(f"engines disagree on the batch at n={n} k={k} rep={rep}")
         row = {"n": n, "k": k}
-        for name, times in per_engine.items():
-            row[f"{name}_ns"] = int(statistics.median(times))
+        for name in engines:
+            row[f"{name}_ns"] = int(statistics.median(single[name]))
         row["speedup"] = row["python_ns"] / row["native_ns"]
+        for name in engines:
+            row[f"{name}_batch_ns"] = int(statistics.median(batch[name]))
+        row["batch_speedup"] = row["python_batch_ns"] / row["native_batch_ns"]
         rows.append(row)
         print(
             f"n={row['n']:>3} k={row['k']:>4}  native {row['native_ns']/1e3:9.1f} us"
             f"  python {row['python_ns']/1e3:9.1f} us  x{row['speedup']:.1f}"
+            f"  | batch of {BATCH}: native {row['native_batch_ns']/1e6:8.2f} ms"
+            f"  python {row['python_batch_ns']/1e6:8.2f} ms  x{row['batch_speedup']:.1f}"
         )
-    geo = float(np.exp(np.mean(np.log([r["speedup"] for r in rows]))))
-    print(f"geometric mean speedup x{geo:.1f} over {len(rows)} sizes "
-          f"({args.reps} instances each, best of 3)")
+    for key, label in (("speedup", "single query"), ("batch_speedup", f"batch of {BATCH}")):
+        geo = float(np.exp(np.mean(np.log([r[key] for r in rows]))))
+        print(f"geometric mean speedup, {label}: x{geo:.1f} over {len(rows)} sizes "
+              f"({args.reps} instances each)")
     return rows
 
 

@@ -28,6 +28,7 @@ from .errors import (
     InputError,
     LengthMismatchError,
     PolyxError,
+    SearchExhaustedError,
 )
 from .geom import (
     Halfspace,
@@ -57,6 +58,7 @@ __all__ = [
     "InputError",
     "LengthMismatchError",
     "PolyxError",
+    "SearchExhaustedError",
     "Halfspace",
     "Hyperplane",
     "PolyhedronH",

@@ -198,10 +198,25 @@ def min_norm_point(
     y is the unique nearest point; with INSIDE, y is x itself. The search
     projects onto descending-signed-distance hyperplanes recursively,
     certifying candidate points with the strict-system optimality criterion.
+    Redundant halfspaces are masked out at the root; `deep_min_h` masks them
+    in every reduced family below it as well.
     """
     V = np.ascontiguousarray(V, dtype=np.float64)
     S = np.ascontiguousarray(S, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
+    return _search(V, S, x, [None], eps, eps_dep, strict_tol, node_limit,
+                   time_budget, deep_min_h)
+
+
+def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget,
+            deep_min_h):
+    """min_norm_point on contiguous arrays, sharing the root mask in root[0].
+
+    At depth 0 the reduced family is (V, S) itself, so its redundancy mask
+    does not depend on x. It is computed at the first depth-0 expansion
+    (inside the node and time budgets) and left in root[0] for any later
+    query on the same family.
+    """
     k, n = V.shape
     margins = V @ x - S
     if margins.max() <= eps:
@@ -245,10 +260,13 @@ def min_norm_point(
         idx = active[indep]
         Ui = W[indep] / wn[indep][:, None]
         dist = m_full[idx] / wn[indep]
-        s_red = Ui @ y - dist
         feet = y[None, :] - dist[:, None] * Ui
-        if deep_min_h or depth == 0:
-            keep = _necessity_mask(Ui, s_red, feet, strict_tol)
+        if depth == 0:
+            if root[0] is None:
+                root[0] = min_h_mask(V, S, strict_tol)
+            keep = root[0][indep]
+        elif deep_min_h:
+            keep = _necessity_mask(Ui, Ui @ y - dist, feet, strict_tol)
         else:
             keep = np.ones(idx.size, dtype=bool)
         cand = np.nonzero(keep & (dist > eps))[0]
@@ -268,13 +286,22 @@ def min_norm_point(
         y = node(x, np.arange(k, dtype=np.int64), 0)
     except _Stop as stop:
         return x, state["nodes"], stop.status
+    finally:
+        # node's closure holds node itself: break the cycle so U and the
+        # search state are freed now rather than at the next cyclic collection
+        node = None
     if y is None:
         return x, state["nodes"], EXHAUSTED
     return y, state["nodes"], FOUND
 
 
-def solve_many(V, S, X, **kwargs):
-    """Vector/batch driver over rows of X. Returns (Y, dist, nodes, status)."""
+def solve_many(V, S, X, eps=1e-9, eps_dep=1e-10, strict_tol=1e-9,
+               node_limit=10_000_000, time_budget=None, deep_min_h=True):
+    """Vector/batch driver over rows of X. Returns (Y, dist, nodes, status).
+
+    The time budget, when given, applies per solve. The root redundancy mask
+    is computed once, at the first exterior row, and reused for the rest.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     m = X.shape[0]
     Y = np.empty_like(X)
@@ -283,8 +310,10 @@ def solve_many(V, S, X, **kwargs):
     status = np.empty(m, dtype=np.int64)
     Vc = np.ascontiguousarray(V, dtype=np.float64)
     Sc = np.ascontiguousarray(S, dtype=np.float64)
+    root = [None]
     for i in range(m):
-        y, nd, st = min_norm_point(Vc, Sc, X[i], **kwargs)
+        y, nd, st = _search(Vc, Sc, X[i], root, eps, eps_dep, strict_tol,
+                            node_limit, time_budget, deep_min_h)
         Y[i] = y
         nodes[i] = nd
         status[i] = st

@@ -34,6 +34,12 @@ class BudgetExceededError(PolyxError):
     code = "budget-exceeded"
 
 
+class SearchExhaustedError(PolyxError):
+    """The exact search found no point on a polyhedron that is not empty."""
+
+    code = "search-exhausted"
+
+
 class GenerationError(PolyxError):
     """Stochastic generator exhausted its retry limit."""
 

@@ -205,8 +205,10 @@ def min_h_description(P: PolyhedronH) -> PolyhedronH:
     Halfspace j survives iff some point violates it while satisfying the
     interiors of all currently retained others (a strict linear system).
     Testing from the highest index down keeps the lowest-index copy of any
-    duplicated constraint.
+    duplicated constraint. A single halfspace is returned as it is.
     """
+    if P.k == 1:
+        return P
     V, S = P.matrix()
     _require_nonempty(V, S)
     mask = _kernel.min_h_mask(V, S)

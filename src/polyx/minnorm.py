@@ -162,7 +162,7 @@ def _raise_for_status(status: int, nodes: int, V, S) -> None:
     if status == _kernel.EXHAUSTED:
         if not _kernel.feasible(V, S):
             raise errors.EmptyPolyhedronError("the polyhedron is empty")
-        raise RuntimeError("search exhausted on a non-empty polyhedron")
+        raise errors.SearchExhaustedError("search exhausted on a non-empty polyhedron")
 
 
 def solve(
@@ -171,7 +171,6 @@ def solve(
     tol: float = geom.DEFAULT_TOL,
     node_limit: int = 10_000_000,
     time_budget: float | None = None,
-    deep_min_h: bool = True,
 ) -> MinNormResult:
     """Nearest point of P from x and the signed distance to the frontier.
 
@@ -179,9 +178,6 @@ def solve(
     distance evaluated on the minimum description (so redundant halfspaces
     cannot shrink the magnitude). Outside queries run the exact recursive
     search. `tol` is the containment tolerance separating the two regimes.
-    `deep_min_h` keeps redundancy elimination on at every recursion level;
-    turning it off skips it below the first level, trading pruning for
-    per-node cost.
     """
     V, S = P.matrix()
     x = geom.as_point(x, P.dim)
@@ -190,10 +186,9 @@ def solve(
         eps=float(tol),
         node_limit=int(node_limit),
         time_budget=time_budget,
-        deep_min_h=deep_min_h,
     )
     if status == _kernel.INSIDE:
-        d = geom.inside_signed_distance(_irredundant(P), x, tol=float(tol))
+        d = geom.inside_signed_distance(geom.min_h_description(P), x, tol=float(tol))
         pt = x.copy()
         pt.flags.writeable = False
         return MinNormResult(pt, d, int(nodes))
@@ -203,13 +198,6 @@ def solve(
         return MinNormResult(y, float(np.linalg.norm(y - x)), int(nodes))
     _raise_for_status(status, nodes, V, S)
     raise AssertionError("unreachable")
-
-
-def _irredundant(P: geom.PolyhedronH) -> geom.PolyhedronH:
-    """geom.min_h_description, skipped when P is trivially irredundant."""
-    if P.k == 1:
-        return P
-    return geom.min_h_description(P)
 
 
 def signed_distance(P: geom.PolyhedronH, x, **kwargs) -> float:
@@ -241,7 +229,6 @@ def signed_distances(
     X,
     threads: int | None = 1,
     node_limit: int = 10_000_000,
-    deep_min_h: bool = True,
 ) -> np.ndarray:
     """Signed distance of every row of X to P.
 
@@ -262,7 +249,7 @@ def signed_distances(
     worst = m.max(axis=1)
     inside = worst <= 1e-9
     if inside.any():
-        Q = _irredundant(P)
+        Q = geom.min_h_description(P)
         if Q.k != P.k:
             Vq, Sq = Q.matrix()
             out[inside] = (X[inside] @ Vq.T - Sq).max(axis=1)
@@ -273,9 +260,7 @@ def signed_distances(
         nthreads = _thread_count(threads)
         pts = X[todo]
         if nthreads <= 1 or todo.size < 64:
-            _, dist, _, status = _kernel.solve_many(
-                V, S, pts, node_limit=node_limit, deep_min_h=deep_min_h
-            )
+            _, dist, _, status = _kernel.solve_many(V, S, pts, node_limit=node_limit)
             _check_batch(status, node_limit, V, S)
             out[todo] = dist
         else:
@@ -284,9 +269,7 @@ def signed_distances(
 
             def work(ci: int) -> None:
                 idx = chunks[ci]
-                _, dist, _, status = _kernel.solve_many(
-                    V, S, pts[idx], node_limit=node_limit, deep_min_h=deep_min_h
-                )
+                _, dist, _, status = _kernel.solve_many(V, S, pts[idx], node_limit=node_limit)
                 _check_batch(status, node_limit, V, S)
                 results[ci] = dist
 

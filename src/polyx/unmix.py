@@ -87,7 +87,7 @@ def extract_endmembers(
         raise errors.InputError("partition dimension does not match band count")
     picks = []
     for k, poly in enumerate(partition.polyhedra):
-        V, S = minnorm._irredundant(poly).matrix()
+        V, S = geom.min_h_description(poly).matrix()
         depth = (img.data @ V.T - S).max(axis=1)
         best = int(depth.argmin())
         if depth[best] > geom.DEFAULT_TOL:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import seeded, square
-from polyx import cli, errors, geom, unmix
+from polyx import _kernel, cli, errors, geom, unmix
 
 
 def toy_image(tmp_path, pixels=24, seed_label="cli-image"):
@@ -295,6 +295,19 @@ def test_error_envelope_bad_format(tmp_path, capsys):
     doc = json.loads(err)
     assert doc["error"]["code"] == "bad-format"
     assert doc["error"]["message"]
+
+
+def test_error_envelope_search_exhausted(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        _kernel, "min_norm_point", lambda V, S, x, **kw: (x, 3, _kernel.EXHAUSTED)
+    )
+    path = tmp_path / "square.json"
+    geom.save_polyhedron(square(), path)
+    code, out, err = run_cli(
+        capsys, "minnorm", "--polyhedron", str(path), "--point", "2,2"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "search-exhausted"
 
 
 def test_error_envelope_io(tmp_path, capsys):

@@ -14,6 +14,25 @@ ENGINES = _kernel.engines()
 BOTH = pytest.mark.skipif(len(ENGINES) < 2, reason="compiled engine not built")
 
 
+def _unit(rows):
+    """(V, S) from raw (offset, normal) rows, each scaled to a unit normal."""
+    S = np.array([s for s, _ in rows], dtype=float)
+    V = np.array([v for _, v in rows], dtype=float)
+    norm = np.linalg.norm(V, axis=1)
+    return V / norm[:, None], S / norm
+
+
+# Unit square plus explicitly redundant rows. The redundancy mask must keep
+# the lowest-index copy of a duplicate and drop dominated and implied rows,
+# whichever engine computes it and however often.
+SQUARE = [(1, [1, 0]), (0, [-1, 0]), (1, [0, 1]), (0, [0, -1])]
+REDUNDANT_FAMILIES = {
+    "duplicated-row": _unit([(1, [0, 1])] + SQUARE),
+    "dominated-parallel-row": _unit(SQUARE[:2] + [(1.5, [1, 0])] + SQUARE[2:]),
+    "row-implied-by-two": _unit(SQUARE + [(2, [1, 1]), (3, [1, -1])]),
+}
+
+
 def test_engine_selection_is_reported():
     assert _kernel.ENGINE in ENGINES
 
@@ -84,6 +103,14 @@ def test_engines_agree_on_solutions():
         assert cn == cp, trial
         if sn == _kernel.FOUND:
             assert np.allclose(yn, yp, atol=1e-9), trial
+    for name, (V, S) in REDUNDANT_FAMILIES.items():
+        for trial in range(40):
+            x = gen.normal(size=2) * 2.0
+            yn, cn, sn = native.min_norm_point(V, S, x)
+            yp, cp, sp = pure.min_norm_point(V, S, x)
+            assert (sn, cn) == (sp, cp), (name, trial)
+            if sn == _kernel.FOUND:
+                assert np.allclose(yn, yp, atol=1e-9), (name, trial)
 
 
 @BOTH
@@ -133,16 +160,56 @@ def test_engines_agree_on_min_h_mask():
 def test_solve_many_matches_single_calls(engine):
     mod = ENGINES[engine]
     gen = seeded("batch")
-    V, S = random_rows(3, 6, gen, lo=0.5, hi=1.5)
-    X = gen.normal(size=(25, 3)) * 2.5
-    Y, D, ND, ST = mod.solve_many(V, S, X)
-    for i, x in enumerate(X):
-        y, nodes, status = mod.min_norm_point(V, S, x)
-        assert ST[i] == status
-        assert ND[i] == nodes
-        if status == _kernel.FOUND:
-            assert np.array_equal(Y[i], y)
-            assert abs(D[i] - np.linalg.norm(y - x)) < 1e-12
+    families = [random_rows(3, 6, gen, lo=0.5, hi=1.5), *REDUNDANT_FAMILIES.values()]
+    for V, S in families:
+        X = gen.normal(size=(25, V.shape[1])) * 2.5
+        Y, D, ND, ST = mod.solve_many(V, S, X)
+        assert (ST == _kernel.FOUND).any()
+        for i, x in enumerate(X):
+            y, nodes, status = mod.min_norm_point(V, S, x)
+            assert ST[i] == status
+            assert ND[i] == nodes
+            if status == _kernel.FOUND:
+                assert np.array_equal(Y[i], y)
+                assert abs(D[i] - np.linalg.norm(y - x)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # quadrant x1 <= 0, x2 <= 0 from below the x1 axis: the foot on the
+        # unviolated row x2 <= 0 lies outside x1 <= 0
+        (_unit([(0, [1, 0]), (0, [0, 1])]), [0.0, 0.0], [1.0, -1.0]),
+        # a duplicated row: each foot lies on the other copy's boundary
+        (_unit([(1, [1, 0]), (1, [1, 0])]), [1.0, 0.0], [1.0, 0.0]),
+    ],
+    ids=["quadrant", "duplicate"],
+)
+def test_pure_batch_runs_root_mask_lps_once(monkeypatch, family):
+    """The root redundancy mask is query-independent: a batch of 50
+    exterior queries runs exactly the strict-margin LPs of a batch of 1."""
+    (V, S), base, sign = family
+    pure = ENGINES["python"]
+    gen = seeded("root-mask")
+    X = np.asarray(base) + gen.uniform(0.5, 3.0, size=(50, 2)) * np.asarray(sign)
+    real = pure.strict_margin
+    calls = []
+
+    def counted(A, b):
+        calls.append(A.shape)
+        return real(A, b)
+
+    monkeypatch.setattr(pure, "strict_margin", counted)
+
+    def lp_count(batch):
+        calls.clear()
+        _, _, _, status = pure.solve_many(V, S, batch)
+        assert (status == _kernel.FOUND).all()
+        return len(calls)
+
+    one = lp_count(X[:1])
+    assert one >= 1  # the feet do not certify, so LPs decide the mask
+    assert lp_count(X) == one
 
 
 KERNEL_DIR = Path(_kernel.__file__).parent

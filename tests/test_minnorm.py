@@ -156,6 +156,17 @@ def test_solve_empty_polyhedron():
         minnorm.solve(P, [5.0])
 
 
+def test_exhausted_search_on_nonempty_polyhedron_is_typed(monkeypatch):
+    monkeypatch.setattr(
+        minnorm._kernel, "min_norm_point",
+        lambda V, S, x, **kw: (x, 3, minnorm._kernel.EXHAUSTED),
+    )
+    with pytest.raises(errors.SearchExhaustedError) as info:
+        minnorm.solve(square(), [2.0, 2.0])
+    assert isinstance(info.value, errors.PolyxError)
+    assert info.value.code == "search-exhausted"
+
+
 def test_solve_node_budget():
     gen = seeded("solve-budget")
     for _ in range(200):
