@@ -8,9 +8,16 @@ pixel pipeline takes. The pure engine computes the root redundancy mask
 once per batch and the compiled one once per query, so the two speedups
 differ.
 
+The SVM rows time both engines' `svm_pair` on the one-vs-one pairs of
+seeded gmm-svm fits: every pair of six 14x14 px, 32-band, K=3 cubes (the
+cube-svm-prob shape) at the full 1000-epoch sweep, and the largest pair of
+one 95x95 px, 156-band cube (Samson-sized) at capped epochs. They print the
+largest |w_native - w_python| next to the times.
+
     python benchmarks/compare_engines.py
     python benchmarks/compare_engines.py --mode n-eq-k --k 4..14 --reps 30
     python benchmarks/compare_engines.py --csv engines.csv
+    python benchmarks/compare_engines.py --only svm
 """
 
 from __future__ import annotations
@@ -23,9 +30,12 @@ import time
 
 import numpy as np
 
-from polyx import _kernel, bench, cli, rng
+from polyx import _kernel, bench, classify, cli, rng
 
 BATCH = 64
+SVM_CLASSES = 3
+SVM_CUBES = 6
+SAMSON_EPOCHS = (5, 30, 200)
 
 
 def exterior_batch(V, S, seed: int) -> np.ndarray:
@@ -65,11 +75,72 @@ def time_batch(impl, V, S, X, budget: float) -> tuple[int, np.ndarray, np.ndarra
     return ns, np.asarray(Y), np.asarray(nodes), np.asarray(status)
 
 
-def run(args) -> list[dict]:
+def mixed_cube(pixels: int, bands: int, seed: int) -> np.ndarray:
+    """pixels x bands linear mixtures of soil, vegetation and water curves:
+    Dirichlet(0.5) abundances fixed by the size, noise (std 0.01) by `seed`."""
+    grid = np.linspace(0.0, 1.0, bands)
+    spectra = np.stack([
+        0.20 + 0.40 * grid + 0.05 * np.sin(6.0 * grid),
+        0.04 + 0.08 * np.exp(-0.5 * ((grid - 0.25) / 0.05) ** 2)
+        + 0.55 / (1.0 + np.exp(-(grid - 0.45) / 0.03)),
+        0.02 + 0.10 * np.exp(-3.0 * grid),
+    ])
+    abund = rng.stream(pixels, "compare-abundances").dirichlet(np.full(3, 0.5), size=pixels)
+    noise = rng.stream(seed, "compare-noise").normal(scale=0.01, size=(pixels, bands))
+    return abund @ spectra + noise
+
+
+def svm_pairs(data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (augmented rows, +-1 labels) pairs a K=3 gmm-svm fit of `data`
+    (classifier seed 0) hands to `svm_pair`, as `classify.ovo_svm_partition`
+    builds them."""
+    labels = classify.gmm_labels(classify.gmm_fit(data, SVM_CLASSES, 0), data)
+    pairs = []
+    for i in range(SVM_CLASSES):
+        for j in range(i + 1, SVM_CLASSES):
+            mask = (labels == i) | (labels == j)
+            Xa = np.hstack([data[mask], np.ones((int(mask.sum()), 1))])
+            pairs.append((Xa, np.where(labels[mask] == i, -1.0, 1.0)))
+    return pairs
+
+
+def time_svm(engines, pairs, epochs: int) -> tuple[dict, float]:
+    """Seconds each engine spends on all pairs, and the largest |w| gap."""
+    seconds, ws = {}, {}
+    for name, impl in engines.items():
+        t0 = time.perf_counter()
+        ws[name] = [np.asarray(impl.svm_pair(Xa, t, 1.0, epochs)) for Xa, t in pairs]
+        seconds[name] = time.perf_counter() - t0
+    gap = max(float(np.abs(wn - wp).max()) for wn, wp in zip(ws["native"], ws["python"]))
+    return seconds, gap
+
+
+def run_svm(args) -> None:
+    engines = _native_and_pure()
+    cube_pairs = [
+        p for c in range(SVM_CUBES) for p in svm_pairs(mixed_cube(14 * 14, 32, args.seed + c))
+    ]
+    samson = max(svm_pairs(mixed_cube(95 * 95, 156, args.seed)), key=lambda p: len(p[1]))
+    cases = [(f"14x14x32, {len(cube_pairs)} pairs of {SVM_CUBES} cubes", cube_pairs, 1000)]
+    samson_label = f"95x95x156, largest pair (m={len(samson[1])})"
+    cases += [(samson_label, [samson], e) for e in SAMSON_EPOCHS]
+    for label, pairs, epochs in cases:
+        seconds, gap = time_svm(engines, pairs, epochs)
+        print(f"svm {label}, {epochs} epochs: native {seconds['native']:.3f} s"
+              f"  python {seconds['python']:.3f} s"
+              f"  x{seconds['python'] / seconds['native']:.1f}  max|dw| {gap:.1e}")
+
+
+def _native_and_pure() -> dict:
     engines = _kernel.engines()
     if "native" not in engines:
         print("compiled engine not importable; nothing to compare", file=sys.stderr)
         raise SystemExit(1)
+    return engines
+
+
+def run(args) -> list[dict]:
+    engines = _native_and_pure()
     rows = []
     for k in args.k_values:
         n = args.n_fixed if args.mode == "fixed-n" else k
@@ -129,11 +200,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=float, default=30.0,
                         help="per-solve time budget in seconds")
-    parser.add_argument("--csv", help="also write the table to this file")
+    parser.add_argument("--csv", help="also write the solver table to this file")
+    parser.add_argument("--only", choices=("solve", "svm"),
+                        help="run only the solver table or only the SVM rows")
     args = parser.parse_args(argv)
     args.k_values = cli._parse_k_values(args.k)
-    rows = run(args)
-    if args.csv:
+    rows = run(args) if args.only != "svm" else []
+    if args.only != "solve":
+        run_svm(args)
+    if args.csv and rows:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()

@@ -29,6 +29,8 @@ EXHAUSTED = 4
 _RED_TOL = 1e-10     # reduced-cost threshold for entering columns
 _PIV_TOL = 1e-10     # minimum pivot magnitude
 _FEAS_TOL = 1e-9     # phase-1 objective cutoff
+_SVM_BLOCK = 64      # rows per gradient block of a sparse SVM sweep
+_SVM_DENSE = 0.25    # share of triggered rows above which the next sweep goes row by row
 
 
 class _Stop(Exception):
@@ -332,29 +334,59 @@ def svm_pair(Xa, t, C=1.0, epochs=1000, tol=1e-6):
     Natural pass order, at most `epochs` sweeps, stopping when no projected
     gradient exceeds `tol`. Returns the weight vector, one entry per column
     of Xa (the caller appends its own bias feature).
+
+    Most rows of a late sweep sit at a bound with a gradient pointing out of
+    the box, so their step is a no-op. A sparse sweep finds the next row whose
+    projected gradient is nonzero from the gradients of a block of rows
+    computed at once, and skips the rows before it. An epoch that follows one
+    where more than `_SVM_DENSE` of the rows triggered runs row by row, as the
+    first one does. Either way every row sees the `w` the row-by-row sweep
+    would give it, so the updates are the same up to round-off. The labels
+    are folded into the rows, which is exact for labels of +-1.
     """
     Xa = np.ascontiguousarray(Xa, dtype=np.float64)
     t = np.ascontiguousarray(t, dtype=np.float64)
     m, n = Xa.shape
+    Xt = t[:, None] * Xa
     q = (Xa**2).sum(axis=1)
-    alpha = np.zeros(m)
+    alpha = [0.0] * m
     w = np.zeros(n)
+    # Row l's projected gradient is nonzero iff g < lo[l] or g > hi[l]:
+    # [0, inf] at the lower bound, [-inf, 0] at the upper one, [0, 0] free.
+    lo = np.zeros(m)
+    hi = np.full(m, np.inf)
+    hits = m
     for _ in range(int(epochs)):
+        dense = hits > _SVM_DENSE * m
         worst = 0.0
-        for l in range(m):
-            g = t[l] * float(w @ Xa[l]) - 1.0
-            if alpha[l] <= 0.0:
-                pg = min(g, 0.0)
-            elif alpha[l] >= C:
-                pg = max(g, 0.0)
+        hits = 0
+        l = 0
+        while l < m:
+            if dense:
+                g = float(w @ Xt[l]) - 1.0
+                if not (g < lo[l] or g > hi[l]):
+                    l += 1
+                    continue
             else:
-                pg = g
-            if pg != 0.0:
-                worst = max(worst, abs(pg))
-                a_new = min(max(alpha[l] - g / q[l], 0.0), C)
-                if a_new != alpha[l]:
-                    w += (a_new - alpha[l]) * t[l] * Xa[l]
-                    alpha[l] = a_new
+                l1 = min(l + _SVM_BLOCK, m)
+                gb = Xt[l:l1] @ w - 1.0
+                hit = (gb < lo[l:l1]) | (gb > hi[l:l1])
+                i = int(hit.argmax())
+                if not hit[i]:
+                    l = l1
+                    continue
+                l += i
+                g = float(gb[i])
+            hits += 1
+            worst = max(worst, abs(g))
+            a = alpha[l]
+            a_new = min(max(a - g / q[l], 0.0), C)
+            if a_new != a:
+                w += (a_new - a) * Xt[l]
+                alpha[l] = a_new
+                lo[l] = 0.0 if a_new <= 0.0 or a_new < C else -np.inf
+                hi[l] = 0.0 if a_new > 0.0 else np.inf
+            l += 1
         if worst < tol:
             break
     return w

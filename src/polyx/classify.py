@@ -122,9 +122,17 @@ def _kmeans_init(data: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarr
     return centers
 
 
+def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """pixels x K squared distances, one centroid at a time: no pixels x K x
+    features temporary, and the same sums as the broadcast form."""
+    d2 = np.empty((data.shape[0], centers.shape[0]))
+    for k, c in enumerate(centers):
+        d2[:, k] = ((data - c) ** 2).sum(1)
+    return d2
+
+
 def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
-    return d2.argmin(axis=1)
+    return _sq_distances(data, centers).argmin(axis=1)
 
 
 def kmeans_fit(data, K: int, seed: int) -> KMeansModel:
@@ -174,9 +182,7 @@ def kmeans_labels(model: KMeansModel, data) -> np.ndarray:
 
 def centroid_distances(model: KMeansModel, data) -> np.ndarray:
     """pixels x K Euclidean distances to the centroids."""
-    data = _as_data(data)
-    d2 = ((data[:, None, :] - model.centroids[None, :, :]) ** 2).sum(-1)
-    return np.sqrt(d2)
+    return np.sqrt(_sq_distances(_as_data(data), model.centroids))
 
 
 def voronoi_partition(m: KMeansModel) -> PartitionModel:
@@ -315,12 +321,15 @@ def gmm_labels(model: GmmModel, data) -> np.ndarray:
 
 
 def _svm_pair(X: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """L1 soft-margin linear SVM by dual coordinate descent.
+    """Hinge-loss linear SVM by dual coordinate descent in the kernel.
 
-    Bias via a fixed augmented feature of 1.0; C = 1, natural pass order,
-    at most 1000 epochs, stopping when no projected gradient exceeds 1e-6.
-    Returns the augmented weight vector (w, b). The sweep itself lives in
-    the kernel (it is the hot loop at image scale).
+    The bias is the weight of an appended constant feature 1.0, so it is
+    regularized with the other weights. C = 1 and natural pass order. The
+    sweep stops when no projected gradient exceeds 1e-6 or after 1000
+    epochs, whichever comes first; on overlapping classes the cap often
+    binds, and the result is the capped sweep, not the optimum. Returns one
+    vector of length features + 1: the weights, then the bias. Both kernel
+    engines return it up to round-off.
     """
     m, _ = X.shape
     Xa = np.hstack([X, np.ones((m, 1))])

@@ -119,6 +119,29 @@ def test_voronoi_argmin_matches_containment():
         assert geom.contains(part.polyhedra[row], x, tol=1e-9)
 
 
+def test_kmeans_labels_and_distances_equal_broadcast_formula():
+    """Centroid-at-a-time distances are bitwise the broadcast sums, and a
+    tie goes to the lowest index."""
+    gen = seeded("kmeans-broadcast")
+    centroids = gen.normal(size=(4, 156))
+    centroids[3] = centroids[1]
+    centroids[1, 0], centroids[3, 0] = 0.5, -0.5
+    # equidistant from centroids 1 and 3: first coordinate 0, the rest shared
+    ties = centroids[1] + 0.01 * gen.normal(size=(20, 156))
+    ties[:, 0] = 0.0
+    near = [c + 0.3 * gen.normal(size=(125, 156)) for c in centroids]
+    data = np.vstack(near + [ties])
+    model = classify.KMeansModel(centroids, 0.0, 0)
+    d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
+    dist = classify.centroid_distances(model, data)
+    labels = classify.kmeans_labels(model, data)
+    assert np.array_equal(dist, np.sqrt(d2))
+    assert np.array_equal(labels, d2.argmin(axis=1))
+    assert np.array_equal(dist[-20:, 1], dist[-20:, 3])
+    assert (labels[-20:] == 1).all()
+    assert len(set(labels[:500])) == 4
+
+
 def test_gmm_single_component_moments():
     gen = seeded("gmm-single")
     data = gen.multivariate_normal([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]], size=400)

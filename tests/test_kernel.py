@@ -126,6 +126,89 @@ def test_engines_agree_on_feasibility():
         assert abs(native.strict_margin(A, b) - pure.strict_margin(A, b)) < 1e-9
 
 
+def _mixed_pair(gen, m=150, bands=32):
+    """A gmm-svm pair shaped like the benchmark's: two-material linear mixtures
+    with sensor noise, a bias column, and labels from a noisy abundance
+    threshold. The classes overlap, so many duals end at C."""
+    grid = np.linspace(0.0, 1.0, bands)
+    soil = 0.2 + 0.4 * grid
+    leaf = 0.04 + 0.55 / (1.0 + np.exp(-(grid - 0.45) / 0.03))
+    a = gen.uniform(size=m)
+    X = np.outer(a, soil) + np.outer(1.0 - a, leaf)
+    X += gen.normal(scale=0.02, size=(m, bands))
+    t = np.where(a + gen.normal(scale=0.05, size=m) < 0.5, -1.0, 1.0)
+    return np.hstack([X, np.ones((m, 1))]), t
+
+
+# Draws whose sweeps run to the 1000-epoch cap, as many benchmark pairs do.
+MIXED_PAIRS = [_mixed_pair(seeded("svm-mixed", i)) for i in (0, 2, 3)]
+
+
+def _svm_rows(Xa, t, C=1.0, epochs=1000, tol=1e-6):
+    """Row-by-row dual coordinate descent, the sweep `svm_pair` reproduces.
+
+    Returns (w, alpha, epochs run)."""
+    m, n = Xa.shape
+    q = (Xa**2).sum(axis=1)
+    alpha = np.zeros(m)
+    w = np.zeros(n)
+    ran = 0
+    for ran in range(1, int(epochs) + 1):
+        worst = 0.0
+        for l in range(m):
+            g = t[l] * float(w @ Xa[l]) - 1.0
+            if alpha[l] <= 0.0:
+                pg = min(g, 0.0)
+            elif alpha[l] >= C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                worst = max(worst, abs(pg))
+                a_new = min(max(alpha[l] - g / q[l], 0.0), C)
+                if a_new != alpha[l]:
+                    w += (a_new - alpha[l]) * t[l] * Xa[l]
+                    alpha[l] = a_new
+        if worst < tol:
+            break
+    return w, alpha, ran
+
+
+def _separable_pair(gen, m=60, n=3):
+    X = gen.normal(size=(m, n))
+    t = np.where(gen.uniform(size=m) < 0.5, -1.0, 1.0)
+    X += 1.5 * t[:, None]
+    return np.hstack([X, np.ones((m, 1))]), t
+
+
+_SEPARABLE = _separable_pair(seeded("svm-separable"))
+# name: (Xa, t, keywords, what the reference run must show for the case to
+# test what its name says)
+SVM_CASES = {
+    **{
+        f"mixed-{i}": (*pair, {}, lambda a, ran: ran == 1000 and (a >= 1.0).mean() > 0.3)
+        for i, pair in enumerate(MIXED_PAIRS)
+    },
+    **{
+        f"epochs-{e}": (*MIXED_PAIRS[0], {"epochs": e}, lambda a, ran, e=e: ran == e)
+        for e in (0, 1, 2, 3)
+    },
+    "small-C": (*MIXED_PAIRS[0], {"C": 0.01}, lambda a, ran: (a >= 0.01).mean() > 0.9),
+    "separable": (*_SEPARABLE, {}, lambda a, ran: ran < 100),
+    "tol-0": (*_SEPARABLE, {"tol": 0.0, "epochs": 300}, lambda a, ran: ran == 300),
+    "one-row": (np.array([[0.5, -2.0, 1.0]]), np.array([1.0]), {}, lambda a, ran: a[0] > 0),
+}
+
+
+@pytest.mark.parametrize("case", list(SVM_CASES))
+def test_pure_svm_sweep_matches_row_by_row_reference(case):
+    Xa, t, kwargs, regime = SVM_CASES[case]
+    w_ref, alpha, ran = _svm_rows(Xa, t, **kwargs)
+    assert regime(alpha, ran)
+    w = np.asarray(ENGINES["python"].svm_pair(Xa, t, **kwargs))
+    assert np.abs(w - w_ref).max() <= 1e-10
+
+
 @BOTH
 def test_engines_agree_on_svm_sweeps():
     gen = seeded("parity-svm")
@@ -141,6 +224,10 @@ def test_engines_agree_on_svm_sweeps():
         wn = np.asarray(native.svm_pair(Xa, t))
         wp = np.asarray(pure.svm_pair(Xa, t))
         assert np.allclose(wn, wp, atol=1e-9), trial
+    for i, (Xa, t) in enumerate(MIXED_PAIRS):
+        wn = np.asarray(native.svm_pair(Xa, t))
+        wp = np.asarray(pure.svm_pair(Xa, t))
+        assert np.allclose(wn, wp, atol=1e-9), f"mixed-{i}"
 
 
 @BOTH
