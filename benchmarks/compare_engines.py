@@ -8,33 +8,39 @@ pixel pipeline takes. The pure engine computes the root redundancy mask
 once per batch and the compiled one once per query, so the two speedups
 differ.
 
-The SVM rows time both engines' `svm_pair` on the one-vs-one pairs of
-seeded gmm-svm fits: every pair of six 14x14 px, 32-band, K=3 cubes (the
-cube-svm-prob shape) at the full 1000-epoch sweep, and the largest pair of
-one 95x95 px, 156-band cube (Samson-sized) at capped epochs. They print the
-largest |w_native - w_python| next to the times.
+The SVM rows time both engines' `svm_pair` on the one-vs-one pairs that
+`polyx unmix --classifier gmm-svm` fits on the benchmark's own cubes
+(`perfbench/workloads.py`): the six cubes of the first two cube-svm-prob
+passes at the full 1000-epoch sweep, and the largest pair of one 95x95 px,
+156-band cube of the same recipe (Samson-sized) at capped epochs. They
+print the largest |w_native - w_python| next to the times.
 
     python benchmarks/compare_engines.py
     python benchmarks/compare_engines.py --mode n-eq-k --k 4..14 --reps 30
     python benchmarks/compare_engines.py --csv engines.csv
-    python benchmarks/compare_engines.py --only svm
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from polyx import _kernel, bench, classify, cli, rng
+from polyx import _kernel, bench, cli, rng
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  the benchmark's cube generator
 
 BATCH = 64
-SVM_CLASSES = 3
-SVM_CUBES = 6
+SVM_CUBE = workloads.WORKLOADS["cube-svm-prob"]
+SVM_SAMSON = dataclasses.replace(SVM_CUBE, width=95, height=95, bands=156)
+SVM_PASSES = 2
 SAMSON_EPOCHS = (5, 30, 200)
 
 
@@ -75,32 +81,22 @@ def time_batch(impl, V, S, X, budget: float) -> tuple[int, np.ndarray, np.ndarra
     return ns, np.asarray(Y), np.asarray(nodes), np.asarray(status)
 
 
-def mixed_cube(pixels: int, bands: int, seed: int) -> np.ndarray:
-    """pixels x bands linear mixtures of soil, vegetation and water curves:
-    Dirichlet(0.5) abundances fixed by the size, noise (std 0.01) by `seed`."""
-    grid = np.linspace(0.0, 1.0, bands)
-    spectra = np.stack([
-        0.20 + 0.40 * grid + 0.05 * np.sin(6.0 * grid),
-        0.04 + 0.08 * np.exp(-0.5 * ((grid - 0.25) / 0.05) ** 2)
-        + 0.55 / (1.0 + np.exp(-(grid - 0.45) / 0.03)),
-        0.02 + 0.10 * np.exp(-3.0 * grid),
-    ])
-    abund = rng.stream(pixels, "compare-abundances").dirichlet(np.full(3, 0.5), size=pixels)
-    noise = rng.stream(seed, "compare-noise").normal(scale=0.01, size=(pixels, bands))
-    return abund @ spectra + noise
+def svm_pairs(spec: workloads.CubeSpec, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (augmented rows, +-1 labels) pairs that the CLI's gmm-svm fit
+    (`cli._fit_partition`, the benchmark's classifier seed) hands to
+    `svm_pair` on the benchmark cube of `seed`, recorded as the fit runs."""
+    img, _ = workloads.make_cube(spec, seed)
+    pairs, sweep = [], _kernel.svm_pair
 
+    def record(Xa, t, *args):
+        pairs.append((np.array(Xa), np.array(t)))
+        return sweep(Xa, t, *args)
 
-def svm_pairs(data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (augmented rows, +-1 labels) pairs a K=3 gmm-svm fit of `data`
-    (classifier seed 0) hands to `svm_pair`, as `classify.ovo_svm_partition`
-    builds them."""
-    labels = classify.gmm_labels(classify.gmm_fit(data, SVM_CLASSES, 0), data)
-    pairs = []
-    for i in range(SVM_CLASSES):
-        for j in range(i + 1, SVM_CLASSES):
-            mask = (labels == i) | (labels == j)
-            Xa = np.hstack([data[mask], np.ones((int(mask.sum()), 1))])
-            pairs.append((Xa, np.where(labels[mask] == i, -1.0, 1.0)))
+    _kernel.svm_pair = record
+    try:
+        cli._fit_partition(img.data, "gmm-svm", spec.classes, workloads.CLASSIFIER_SEED)
+    finally:
+        _kernel.svm_pair = sweep
     return pairs
 
 
@@ -117,11 +113,12 @@ def time_svm(engines, pairs, epochs: int) -> tuple[dict, float]:
 
 def run_svm(args) -> None:
     engines = _native_and_pure()
-    cube_pairs = [
-        p for c in range(SVM_CUBES) for p in svm_pairs(mixed_cube(14 * 14, 32, args.seed + c))
-    ]
-    samson = max(svm_pairs(mixed_cube(95 * 95, 156, args.seed)), key=lambda p: len(p[1]))
-    cases = [(f"14x14x32, {len(cube_pairs)} pairs of {SVM_CUBES} cubes", cube_pairs, 1000)]
+    seeds = [workloads.sub_seed(args.seed, p, r)
+             for p in range(SVM_PASSES) for r in range(workloads.CUBES_PER_PASS)]
+    cube_pairs = [p for seed in seeds for p in svm_pairs(SVM_CUBE, seed)]
+    samson = max(svm_pairs(SVM_SAMSON, seeds[0]), key=lambda p: len(p[1]))
+    cube_label = f"14x14x32, {len(cube_pairs)} pairs of {len(seeds)} cube-svm-prob cubes"
+    cases = [(cube_label, cube_pairs, 1000)]
     samson_label = f"95x95x156, largest pair (m={len(samson[1])})"
     cases += [(samson_label, [samson], e) for e in SAMSON_EPOCHS]
     for label, pairs, epochs in cases:
@@ -201,14 +198,11 @@ def main(argv=None) -> int:
     parser.add_argument("--budget", type=float, default=30.0,
                         help="per-solve time budget in seconds")
     parser.add_argument("--csv", help="also write the solver table to this file")
-    parser.add_argument("--only", choices=("solve", "svm"),
-                        help="run only the solver table or only the SVM rows")
     args = parser.parse_args(argv)
     args.k_values = cli._parse_k_values(args.k)
-    rows = run(args) if args.only != "svm" else []
-    if args.only != "solve":
-        run_svm(args)
-    if args.csv and rows:
+    rows = run(args)
+    run_svm(args)
+    if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()

@@ -340,9 +340,12 @@ def svm_pair(Xa, t, C=1.0, epochs=1000, tol=1e-6):
     projected gradient is nonzero from the gradients of a block of rows
     computed at once, and skips the rows before it. An epoch that follows one
     where more than `_SVM_DENSE` of the rows triggered runs row by row, as the
-    first one does. Either way every row sees the `w` the row-by-row sweep
-    would give it, so the updates are the same up to round-off. The labels
-    are folded into the rows, which is exact for labels of +-1.
+    first one does: when nearly every row triggers, each trigger would pay
+    for a block of gradients, and a block-only sweep is about 1.3x slower
+    than this one on a 6,427 x 157 pair at 5 and 30 epochs (BENCH_svm.json).
+    Either way every row sees the `w` the row-by-row sweep would give it, so
+    the updates are the same up to round-off. The labels are folded into the
+    rows, which is exact for labels of +-1.
     """
     Xa = np.ascontiguousarray(Xa, dtype=np.float64)
     t = np.ascontiguousarray(t, dtype=np.float64)
