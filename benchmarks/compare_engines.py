@@ -15,6 +15,13 @@ passes at the full 1000-epoch sweep, and the largest pair of one 95x95 px,
 156-band cube of the same recipe (Samson-sized) at capped epochs. They
 print the largest |w_native - w_python| next to the times.
 
+The signed_distances rows time `minnorm.signed_distances` on each engine
+over the batches `polyx unmix --mode probability` hands it: every class
+polyhedron of the CLI's k-means and gmm-svm fits against all pixels, on the
+six cubes of the first two samson-kmeans-prob and cube-svm-prob passes.
+Each row gives the best of 3 times and the share of exterior rows that the
+first-projection pass leaves to the kernel's search.
+
     python benchmarks/compare_engines.py
     python benchmarks/compare_engines.py --mode n-eq-k --k 4..14 --reps 30
     python benchmarks/compare_engines.py --csv engines.csv
@@ -32,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from polyx import _kernel, bench, cli, rng
+from polyx import _kernel, bench, cli, minnorm, rng
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  the benchmark's cube generator
@@ -42,6 +49,7 @@ SVM_CUBE = workloads.WORKLOADS["cube-svm-prob"]
 SVM_SAMSON = dataclasses.replace(SVM_CUBE, width=95, height=95, bands=156)
 SVM_PASSES = 2
 SAMSON_EPOCHS = (5, 30, 200)
+DISTANCE_WORKLOADS = ("samson-kmeans-prob", "cube-svm-prob")
 
 
 def exterior_batch(V, S, seed: int) -> np.ndarray:
@@ -100,6 +108,12 @@ def svm_pairs(spec: workloads.CubeSpec, seed: int) -> list[tuple[np.ndarray, np.
     return pairs
 
 
+def _cube_seeds(seed: int) -> list[int]:
+    """Cube seeds of the first SVM_PASSES benchmark passes of `seed`."""
+    return [workloads.sub_seed(seed, p, r)
+            for p in range(SVM_PASSES) for r in range(workloads.CUBES_PER_PASS)]
+
+
 def time_svm(engines, pairs, epochs: int) -> tuple[dict, float]:
     """Seconds each engine spends on all pairs, and the largest |w| gap."""
     seconds, ws = {}, {}
@@ -113,8 +127,7 @@ def time_svm(engines, pairs, epochs: int) -> tuple[dict, float]:
 
 def run_svm(args) -> None:
     engines = _native_and_pure()
-    seeds = [workloads.sub_seed(args.seed, p, r)
-             for p in range(SVM_PASSES) for r in range(workloads.CUBES_PER_PASS)]
+    seeds = _cube_seeds(args.seed)
     cube_pairs = [p for seed in seeds for p in svm_pairs(SVM_CUBE, seed)]
     samson = max(svm_pairs(SVM_SAMSON, seeds[0]), key=lambda p: len(p[1]))
     cube_label = f"14x14x32, {len(cube_pairs)} pairs of {len(seeds)} cube-svm-prob cubes"
@@ -126,6 +139,64 @@ def run_svm(args) -> None:
         print(f"svm {label}, {epochs} epochs: native {seconds['native']:.3f} s"
               f"  python {seconds['python']:.3f} s"
               f"  x{seconds['python'] / seconds['native']:.1f}  max|dw| {gap:.1e}")
+
+
+def distance_batches(spec: workloads.CubeSpec, seeds) -> list:
+    """The (class polyhedron, pixels) batches that `polyx unmix` in
+    probability mode hands to `signed_distances` on the benchmark cubes of
+    `seeds`, with the CLI's own fit (`cli._fit_partition`)."""
+    batches = []
+    for seed in seeds:
+        img, _ = workloads.make_cube(spec, seed)
+        partition = cli._fit_partition(img.data, spec.classifier, spec.classes,
+                                       workloads.CLASSIFIER_SEED)
+        batches += [(poly, img.data) for poly in partition.polyhedra]
+    return batches
+
+
+def time_distances(impl, batches) -> tuple[float, int, list]:
+    """Best-of-3 seconds `signed_distances` takes over all batches with
+    `impl` as the kernel, the rows one pass hands to the search, and the
+    distances."""
+    searched = 0
+
+    def search(V, S, X, **kwargs):
+        nonlocal searched
+        searched += len(X)
+        return impl.solve_many(V, S, X, **kwargs)
+
+    saved = {name: getattr(_kernel, name) for name in ("solve_many", "min_h_mask", "feasible")}
+    _kernel.solve_many, _kernel.min_h_mask, _kernel.feasible = search, impl.min_h_mask, impl.feasible
+    try:
+        seconds = []
+        for _ in range(3):
+            searched = 0
+            t0 = time.perf_counter()
+            dists = [minnorm.signed_distances(P, X) for P, X in batches]
+            seconds.append(time.perf_counter() - t0)
+    finally:
+        for name, fn in saved.items():
+            setattr(_kernel, name, fn)
+    return min(seconds), searched, dists
+
+
+def run_distances(args) -> None:
+    engines = _native_and_pure()
+    seeds = _cube_seeds(args.seed)
+    for workload in DISTANCE_WORKLOADS:
+        batches = distance_batches(workloads.WORKLOADS[workload], seeds)
+        exterior = 0
+        for P, X in batches:
+            V, S = P.matrix()
+            exterior += int(((X @ V.T - S).max(axis=1) > 1e-9).sum())
+        dists = {}
+        for name, impl in engines.items():
+            seconds, searched, dists[name] = time_distances(impl, batches)
+            print(f"signed_distances {workload}, {len(batches)} batches of {len(seeds)} cubes,"
+                  f" {name}: {seconds:.3f} s, {searched} of {exterior} exterior rows searched"
+                  f" ({searched / max(exterior, 1):.1%})")
+        gap = max(float(np.abs(a - b).max()) for a, b in zip(dists["native"], dists["python"]))
+        print(f"signed_distances {workload}: max|d_native - d_python| {gap:.1e}")
 
 
 def _native_and_pure() -> dict:
@@ -202,6 +273,7 @@ def main(argv=None) -> int:
     args.k_values = cli._parse_k_values(args.k)
     rows = run(args)
     run_svm(args)
+    run_distances(args)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -44,6 +44,15 @@ solve_many = _impl.solve_many
 svm_pair = _impl.svm_pair
 
 
+def describe() -> str:
+    """The active engine and, for a pure run, why the compiled one is unused."""
+    if ENGINE == "native":
+        return ENGINE
+    if NATIVE_ERROR is None:
+        return f"{ENGINE} (POLYX_PURE is set)"
+    return f"{ENGINE} (native import failed: {NATIVE_ERROR})"
+
+
 def engines() -> dict:
     """Importable engines by name; at least the pure one."""
     table = {"python": pure}

@@ -220,6 +220,7 @@ def save_outputs(results: list[RunResult], out_dir, settings: dict, pgm: bool = 
         "tool": "polyx",
         "version": __version__,
         "engine": _kernel.ENGINE,
+        "native_error": _kernel.NATIVE_ERROR,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -378,8 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polyx",
         description="Exact polyhedral distance queries, benchmarks and spectral unmixing.",
+        # keeps --version on one line however long the native import error is
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    ap.add_argument(
+        "--version", action="version",
+        version=f"%(prog)s {__version__}, engine: {_kernel.describe()}",
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     mn = sub.add_parser("minnorm", help="nearest point of a polyhedron from a query point")

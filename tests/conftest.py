@@ -55,10 +55,4 @@ def pytest_configure(config):
 def pytest_report_header(config):
     from polyx import _kernel
 
-    if _kernel.ENGINE == "native":
-        why = ""
-    elif _kernel.NATIVE_ERROR is None:
-        why = ", POLYX_PURE is set"
-    else:
-        why = f", native import failed: {_kernel.NATIVE_ERROR}"
-    return f"polyx engine: {_kernel.ENGINE}{why} (kernel build: {_build_note})"
+    return f"polyx engine: {_kernel.describe()} (kernel build: {_build_note})"

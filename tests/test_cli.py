@@ -193,6 +193,24 @@ def test_cmd_unmix_abundance_contract(tmp_path, capsys):
     assert manifest["settings"]["clip_abundances"] is False
     assert manifest["runs"][0]["seed"] == 4
     assert set(manifest["runs"][0]["timings_s"]) == {"fit", "distance", "abundance"}
+    assert manifest["engine"] == _kernel.ENGINE
+    assert manifest["native_error"] == _kernel.NATIVE_ERROR
+
+
+def test_cmd_unmix_manifest_says_why_a_run_is_pure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_kernel, "ENGINE", "python")
+    monkeypatch.setattr(_kernel, "NATIVE_ERROR", "No module named 'polyx._kernel.native'")
+    _, header = toy_image(tmp_path)
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(
+        capsys,
+        "unmix", "--image", str(header), "--classifier", "kmeans",
+        "--classes", "2", "--mode", "probability", "--out", str(out_dir),
+    )
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["engine"] == "python"
+    assert manifest["native_error"] == "No module named 'polyx._kernel.native'"
 
 
 def test_cmd_unmix_same_seed_bitwise(tmp_path, capsys):
@@ -325,3 +343,24 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("polyx ")
+    assert f"engine: {_kernel.ENGINE}" in out
+    if _kernel.NATIVE_ERROR is not None:
+        assert _kernel.NATIVE_ERROR in out
+
+
+@pytest.mark.parametrize(
+    "engine, native_error, expected",
+    [
+        ("native", None, "engine: native\n"),
+        ("python", None, "engine: python (POLYX_PURE is set)\n"),
+        ("python", "No module named 'polyx._kernel.native'",
+         "engine: python (native import failed: No module named 'polyx._kernel.native')\n"),
+    ],
+)
+def test_version_flag_names_engine_and_why_it_is_pure(capsys, monkeypatch, engine, native_error, expected):
+    monkeypatch.setattr(_kernel, "ENGINE", engine)
+    monkeypatch.setattr(_kernel, "NATIVE_ERROR", native_error)
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    out = capsys.readouterr().out
+    assert out.startswith("polyx ") and out.endswith(expected)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from helpers import exterior_query, random_polyhedron, seeded, solve_checked, square
-from polyx import errors, geom, minnorm
+from helpers import exterior_query, pentad, random_polyhedron, seeded, solve_checked, square
+from polyx import _kernel, classify, errors, geom, minnorm
+
+ENGINES = _kernel.engines()
 
 
 def plane(s, v) -> geom.Hyperplane:
@@ -273,3 +275,127 @@ def test_threads_env_must_be_integer(monkeypatch):
 def test_batch_rejects_bad_shapes():
     with pytest.raises(errors.InputError):
         minnorm.signed_distances(square(), np.zeros((4, 3)))
+
+
+# --- the first-projection pass of signed_distances ---------------------------
+
+
+def _use_engine(monkeypatch, name: str) -> None:
+    mod = ENGINES[name]
+    for attr in ("solve_many", "min_norm_point", "min_h_mask", "feasible"):
+        monkeypatch.setattr(_kernel, attr, getattr(mod, attr))
+
+
+def _record_searched(monkeypatch) -> list:
+    """Wrap _kernel.solve_many; the list receives every batch handed to it."""
+    seen = []
+    search = _kernel.solve_many
+
+    def recorded(V, S, X, **kwargs):
+        seen.append(np.array(X))
+        return search(V, S, X, **kwargs)
+
+    monkeypatch.setattr(_kernel, "solve_many", recorded)
+    return seen
+
+
+def _square_with_row_0_twice() -> geom.PolyhedronH:
+    return geom.PolyhedronH.from_rows(
+        [(1, [1, 0]), (1, [1, 0]), (0, [-1, 0]), (1, [0, 1]), (0, [0, -1])]
+    )
+
+
+def _unbounded_wedge() -> geom.PolyhedronH:
+    """x1 <= 0 and x1 + x2 <= 1 in 3-D: unbounded along -x1, -x2 and x3."""
+    return geom.PolyhedronH.from_rows([(0, [1, 0, 0]), (1, [1, 1, 0])])
+
+
+_FACE_QUERIES = [[0.5, 3.0], [3.0, 0.2], [-2.0, 0.7], [0.1, -4.0], [0.5, 0.5]]
+_CORNER_QUERIES = [[2.0, 2.0], [-1.0, -1.0], [1.5, -2.0], [-3.0, 4.0]]
+
+
+def _pass_cases():
+    """(label, P, X, how many exterior rows the search gets: none, some, all)."""
+    gen = seeded("first-projection-cases")
+    random_P = random_polyhedron(4, 9, gen)
+    return [
+        ("faces", square(), np.array(_FACE_QUERIES), "none"),
+        ("faces-and-corners", square(),
+         np.repeat(np.array(_FACE_QUERIES + _CORNER_QUERIES), 2, axis=0), "some"),
+        ("corners", square(), np.array(_CORNER_QUERIES + [[0.5, 0.5]]), "all"),
+        # rows 0 and 1 tie for the largest margin wherever x1 > 1
+        ("duplicate-halfspace", _square_with_row_0_twice(),
+         np.array([[3.0, 0.5], [2.0, 2.0], [4.0, -1.0], [1.5, 0.25]]), "some"),
+        # (3, 3) is settled on row 4, which touches the set only at (1, 1)
+        ("weakly-redundant", pentad(),
+         np.array([[3.0, 3.0], [0.0, 5.0], [5.0, -5.0], [-5.0, 0.5], [0.0, 0.0]]), "some"),
+        ("unbounded", _unbounded_wedge(), gen.normal(size=(200, 3)) * 3, "some"),
+        ("random", random_P, gen.normal(size=(300, 4)) * 3, "some"),
+    ]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("case", range(len(_pass_cases())))
+def test_first_projection_pass_matches_the_search(monkeypatch, engine, case):
+    label, P, X, searched = _pass_cases()[case]
+    _use_engine(monkeypatch, engine)
+    seen = _record_searched(monkeypatch)
+    got = minnorm.signed_distances(P, X)
+    want = np.array([minnorm.solve(P, x).signed_distance for x in X])
+    assert np.abs(got - want).max() <= 1e-12, label
+    V, S = P.matrix()
+    exterior = int(((X @ V.T - S).max(axis=1) > 1e-9).sum())
+    rows = sum(len(b) for b in seen)
+    assert exterior > 0, label
+    expected = {"none": rows == 0, "some": 0 < rows < exterior, "all": rows == exterior}
+    assert expected[searched], (label, rows, exterior)
+
+
+def test_kmeans_cells_never_reach_the_search(monkeypatch):
+    gen = seeded("voronoi-first-projection")
+    centers = gen.normal(size=(3, 20)) * 3
+    data = np.repeat(centers, 100, axis=0) + 0.3 * gen.normal(size=(300, 20))
+    partition = classify.voronoi_partition(classify.kmeans_fit(data, 3, seed=0))
+    seen = _record_searched(monkeypatch)
+    for poly in partition.polyhedra:
+        assert (minnorm.signed_distances(poly, data) > 0).sum() >= 100
+    assert seen == []
+
+
+def test_search_receives_exactly_the_rows_left_over(monkeypatch):
+    # On an irredundant family the search's first pivot is the most violated
+    # face, so a row is left over iff its solve takes more than 2 nodes.
+    gen = seeded("first-projection-leftover")
+    cases = [
+        (square(), np.array(_FACE_QUERIES + _CORNER_QUERIES)),
+        (geom.min_h_description(random_polyhedron(4, 9, gen)), gen.normal(size=(300, 4)) * 3),
+    ]
+    for P, X in cases:
+        V, S = P.matrix()
+        _, _, nodes, status = _kernel.solve_many(V, S, X)
+        left = X[(status == _kernel.FOUND) & (nodes > 2)]
+        assert 0 < len(left) < (status == _kernel.FOUND).sum()
+        seen = _record_searched(monkeypatch)
+        minnorm.signed_distances(P, X)
+        monkeypatch.undo()
+        assert len(seen) == 1 and np.array_equal(seen[0], left)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("node_limit", [0, 1])
+def test_batch_node_budget_below_two_raises_on_exterior_rows(monkeypatch, engine, node_limit):
+    # every exterior row here is settled by the first projection at 2 nodes
+    _use_engine(monkeypatch, engine)
+    with pytest.raises(errors.BudgetExceededError):
+        minnorm.signed_distances(square(), np.array(_FACE_QUERIES), node_limit=node_limit)
+    inside = np.array([[0.5, 0.5], [0.2, 0.9]])
+    assert np.allclose(minnorm.signed_distances(square(), inside, node_limit=node_limit), [-0.5, -0.1])
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_batch_node_budget_of_two_settles_first_projections_only(monkeypatch, engine):
+    _use_engine(monkeypatch, engine)
+    got = minnorm.signed_distances(square(), np.array(_FACE_QUERIES), node_limit=2)
+    assert np.allclose(got, [2.0, 2.0, 2.0, 4.0, -0.5])
+    with pytest.raises(errors.BudgetExceededError):
+        minnorm.signed_distances(square(), np.array([[2.0, 2.0]]), node_limit=2)
