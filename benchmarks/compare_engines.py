@@ -148,8 +148,8 @@ def distance_batches(spec: workloads.CubeSpec, seeds) -> list:
     batches = []
     for seed in seeds:
         img, _ = workloads.make_cube(spec, seed)
-        partition = cli._fit_partition(img.data, spec.classifier, spec.classes,
-                                       workloads.CLASSIFIER_SEED)
+        partition, _ = cli._fit_partition(img.data, spec.classifier, spec.classes,
+                                          workloads.CLASSIFIER_SEED)
         batches += [(poly, img.data) for poly in partition.polyhedra]
     return batches
 

@@ -22,7 +22,9 @@ _SVM_EPOCHS = 1000
 
 
 def _as_data(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    # C order: a row's squared distance then sums its bands in the same
+    # order whether the row is read from the whole matrix or from a subset.
+    arr = np.ascontiguousarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise errors.InputError("data must be a pixels x features matrix")
     if not np.all(np.isfinite(arr)):
@@ -35,6 +37,10 @@ class KMeansModel:
     centroids: np.ndarray
     inertia: float
     seed: int
+    #: Lloyd sweeps the fit ran, and whether the 300-sweep cap stopped it
+    #: before the centroids settled
+    sweeps: int = 0
+    capped: bool = False
 
     def __post_init__(self) -> None:
         c = np.asarray(self.centroids, dtype=float)
@@ -131,14 +137,49 @@ def _sq_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return _sq_distances(data, centers).argmin(axis=1)
+def _row_sq_norms(data: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", data, data)
+
+
+def _assign(data: np.ndarray, centers: np.ndarray, data_sq: np.ndarray) -> np.ndarray:
+    """Nearest centroid of every row, lowest index on ties: bitwise the
+    argmin of `_sq_distances(data, centers)`.
+
+    One matrix product gives every squared distance in the expanded form
+    |x|^2 - 2 x.c + |c|^2 (`data_sq` holds the |x|^2). It and the exact
+    formula each lie within (2 bands + 4) u (|x|^2 + |c|^2) of the true
+    value, u = eps / 2, whatever order BLAS sums in. So where the best and
+    second-best expanded distances of a row are further apart than twice
+    the sum of the two bounds, both forms pick the same strict winner; the
+    bound used is four times that, and its `tiny` covers underflow. Only
+    the rows it leaves undecided, and rows with non-finite values, are
+    recomputed with `_sq_distances`.
+    """
+    bands = data.shape[1]
+    centers_sq = _row_sq_norms(centers)
+    # K x pixels: each centroid's distances contiguous, the faster product
+    d2 = centers @ data.T
+    d2 *= -2.0
+    d2 += data_sq
+    d2 += centers_sq[:, None]
+    labels = d2.argmin(axis=0)
+    cols = np.arange(d2.shape[1])
+    best = d2[labels, cols]
+    d2[labels, cols] = np.inf
+    gap = d2.min(axis=0) - best
+    eps = np.finfo(float).eps
+    bound = 16.0 * (bands + 4) * eps * (data_sq + centers_sq.max()) + np.finfo(float).tiny
+    unsure = np.flatnonzero(~(gap > bound))
+    if unsure.size:
+        labels[unsure] = _sq_distances(data[unsure], centers).argmin(axis=1)
+    return labels
 
 
 def kmeans_fit(data, K: int, seed: int) -> KMeansModel:
     """Lloyd's algorithm with k-means++ seeding.
 
-    At most 300 sweeps, stopping when no centroid moves more than 1e-6. An
+    At most 300 sweeps, stopping when no centroid moves more than 1e-6; the
+    model records the sweeps run and whether that cap stopped them. An
     emptied cluster is restarted at the point currently farthest from its
     own centroid (lowest index on ties), which keeps runs deterministic.
     """
@@ -150,8 +191,9 @@ def kmeans_fit(data, K: int, seed: int) -> KMeansModel:
         raise errors.InputError("need at least K data points")
     gen = rngmod.stream(seed, "kmeans")
     centers = _kmeans_init(data, K, gen)
-    labels = _assign(data, centers)
-    for _ in range(300):
+    data_sq = _row_sq_norms(data)
+    labels = _assign(data, centers, data_sq)
+    for sweeps in range(1, 301):
         max_shift = 0.0
         reseeded: set[int] = set()
         for k in range(K):
@@ -168,16 +210,17 @@ def kmeans_fit(data, K: int, seed: int) -> KMeansModel:
             new_center = data[mask].mean(axis=0)
             max_shift = max(max_shift, float(np.linalg.norm(new_center - centers[k])))
             centers[k] = new_center
-        labels = _assign(data, centers)
+        labels = _assign(data, centers, data_sq)
         if max_shift < 1e-6:
             break
     inertia = float(((data - centers[labels]) ** 2).sum())
-    return KMeansModel(centers, inertia, int(seed))
+    return KMeansModel(centers, inertia, int(seed), sweeps, capped=max_shift >= 1e-6)
 
 
 def kmeans_labels(model: KMeansModel, data) -> np.ndarray:
     """Nearest-centroid assignment (lowest index on ties)."""
-    return _assign(_as_data(data), model.centroids)
+    data = _as_data(data)
+    return _assign(data, model.centroids, _row_sq_norms(data))
 
 
 def centroid_distances(model: KMeansModel, data) -> np.ndarray:
@@ -336,12 +379,25 @@ def _svm_pair(X: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.asarray(_kernel.svm_pair(Xa, t, _SVM_C, _SVM_EPOCHS, _SVM_TOL))
 
 
+def _svm_primal(X: np.ndarray, t: np.ndarray, w: np.ndarray) -> tuple[float, int]:
+    """Primal objective 1/2 |w|^2 + C sum(hinge) of a `_svm_pair` result, and
+    the count of margin violators: rows with t f(x) < 1 - 1e-6, the sweep's
+    own tolerance, so that support vectors on the margin do not count. Both
+    read `w` alone, so either kernel engine reports them."""
+    margins = t * (X @ w[:-1] + w[-1])
+    hinge = np.maximum(0.0, 1.0 - margins)
+    violators = int((margins < 1.0 - _SVM_TOL).sum())
+    return 0.5 * float(w @ w) + _SVM_C * float(hinge.sum()), violators
+
+
 def ovo_svm_partition(data, labels, K: int, seed: int) -> PartitionModel:
     """One-vs-one linear SVMs on hard labels; separators become frontiers.
 
     For the (i, j) pair the decision value <w, x> + b is negative on class i,
     so class i's polyhedron takes the halfspace <x, w> <= -b and class j the
-    negation. The partition assembles exactly as the Voronoi one.
+    negation. The partition assembles exactly as the Voronoi one. The
+    metadata lists, per pair, the sweep's primal objective and its margin
+    violators (`_svm_primal`).
     """
     data = _as_data(data)
     labels = np.asarray(labels)
@@ -354,11 +410,14 @@ def ovo_svm_partition(data, labels, K: int, seed: int) -> PartitionModel:
             raise errors.InputError(f"class {k} has fewer than 2 points")
     n = data.shape[1]
     frontier: dict[tuple[int, int], geom.Halfspace] = {}
+    pairs = []
     for i in range(K):
         for j in range(i + 1, K):
             mask = (labels == i) | (labels == j)
             t = np.where(labels[mask] == i, -1.0, 1.0)
             w = _svm_pair(data[mask], t)
+            objective, violators = _svm_primal(data[mask], t, w)
+            pairs.append({"classes": [i, j], "objective": objective, "margin_violators": violators})
             wv, b = w[:n], float(w[n])
             if float(np.linalg.norm(wv)) < 1e-12:
                 raise errors.ConditioningError(
@@ -370,7 +429,9 @@ def ovo_svm_partition(data, labels, K: int, seed: int) -> PartitionModel:
     for i in range(K):
         hs = tuple(frontier[(i, j)] for j in range(K) if j != i)
         polyhedra.append(geom.PolyhedronH(hs, n))
-    return PartitionModel(K, tuple(polyhedra), "gmm-svm", {"seed": int(seed)})
+    return PartitionModel(
+        K, tuple(polyhedra), "gmm-svm", {"seed": int(seed), "svm_pairs": pairs}
+    )
 
 
 def save_partition(model: PartitionModel, path) -> None:

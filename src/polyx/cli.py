@@ -133,16 +133,21 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
         start = 1
     if start == len(rows):
         raise errors.FormatError(f"{path}: no data rows")
-    width = len(rows[start])
-    out = np.empty((len(rows) - start, width))
-    for i, row in enumerate(rows[start:]):
+    data = rows[start:]
+    width = len(data[0])
+    for i, row in enumerate(data):
         if len(row) != width:
             raise errors.FormatError(f"{path}: row {start + i + 1} has {len(row)} fields, expected {width}")
+    try:
+        return np.array(data, dtype=float)
+    except ValueError as exc:
+        error = exc
+    for i, row in enumerate(data):  # name the row of the first bad cell
         try:
-            out[i] = [float(c) for c in row]
+            [float(c) for c in row]
         except ValueError as exc:
             raise errors.FormatError(f"{path}: row {start + i + 1}: {exc}") from None
-    return out
+    raise errors.FormatError(f"{path}: {error}") from None
 
 
 def _read_matrix(path) -> np.ndarray:
@@ -167,6 +172,7 @@ class RunResult:
     rmse: float | None = None
     permutation: tuple[int, ...] | None = None
     timings: dict[str, float] = field(default_factory=dict)
+    fit: dict = field(default_factory=dict)  # the classifier's convergence counters
 
 
 def save_outputs(results: list[RunResult], out_dir, settings: dict, pgm: bool = False) -> dict:
@@ -208,6 +214,7 @@ def save_outputs(results: list[RunResult], out_dir, settings: dict, pgm: bool = 
                 "seed": r.seed,
                 "files": [p.name for p in written],
                 "timings_s": {k: round(v, 6) for k, v in r.timings.items()},
+                "fit": r.fit,
                 **({"rmse": r.rmse, "permutation": list(r.permutation or ())} if r.rmse is not None else {}),
             }
         )
@@ -299,12 +306,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _fit_partition(pixels: np.ndarray, classifier: str, K: int, seed: int) -> classify.PartitionModel:
+def _fit_partition(pixels: np.ndarray, classifier: str, K: int, seed: int) -> tuple[classify.PartitionModel, dict]:
+    """The class partition, and the fit's convergence counters for the manifest."""
     if classifier == "kmeans":
-        return classify.voronoi_partition(classify.kmeans_fit(pixels, K, seed))
+        km = classify.kmeans_fit(pixels, K, seed)
+        return classify.voronoi_partition(km), {"lloyd_sweeps": km.sweeps, "lloyd_capped": km.capped}
     model = classify.gmm_fit(pixels, K, seed)
     labels = classify.gmm_labels(model, pixels)
-    return classify.ovo_svm_partition(pixels, labels, K, seed)
+    partition = classify.ovo_svm_partition(pixels, labels, K, seed)
+    return partition, {"em_iterations": len(model.loglik_path), "svm_pairs": partition.metadata["svm_pairs"]}
 
 
 def _cmd_unmix(args) -> int:
@@ -319,7 +329,7 @@ def _cmd_unmix(args) -> int:
         seed = args.seed + r
         timings: dict[str, float] = {}
         t0 = time.perf_counter()
-        partition = _fit_partition(img.data, args.classifier, args.classes, seed)
+        partition, fit = _fit_partition(img.data, args.classifier, args.classes, seed)
         timings["fit"] = time.perf_counter() - t0
         endmembers = None
         if args.mode == "abundance":
@@ -341,7 +351,7 @@ def _cmd_unmix(args) -> int:
                 dv = density.basis_change(dv)
             values = density.softmax_density(density.std_scale(dv), alpha=args.alpha).values
             timings["density"] = time.perf_counter() - t0
-        rr = RunResult(seed, args.mode, np.asarray(values), img.width, img.height, endmembers, timings=timings)
+        rr = RunResult(seed, args.mode, np.asarray(values), img.width, img.height, endmembers, timings=timings, fit=fit)
         if truth is not None:
             rr.rmse, rr.permutation = unmix.rmse(rr.values, truth, permute=True)
         results.append(rr)
@@ -375,6 +385,15 @@ def _cmd_rmse(args) -> int:
     return 0
 
 
+def _numpy_description() -> str:
+    """NumPy's version and, when its build configuration names it, its BLAS."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return f"numpy {np.__version__}"
+    return f"numpy {np.__version__} ({blas})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polyx",
@@ -384,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--version", action="version",
-        version=f"%(prog)s {__version__}, engine: {_kernel.describe()}",
+        version=f"%(prog)s {__version__}, {_numpy_description()}, engine: {_kernel.describe()}",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -3,9 +3,9 @@
 The solver projects the query onto intersections of boundary hyperplanes,
 recursing through reduced constraint families until a candidate passes the
 global optimality test (a strict linear system that is infeasible exactly at
-the nearest point). The heavy search lives in the kernel; this module holds
-the public types, the single-intersection projection, the family reduction
-transform, the optimality test, and batch helpers.
+the nearest point). The search, with its projections and family reductions,
+lives in the kernel; this module holds the public result type, the
+optimality test, and the single and batch entry points.
 """
 
 from __future__ import annotations
@@ -13,27 +13,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _kernel, errors, geom, lpfeas
-
-#: Gram-Schmidt residual norms at or below this mean linear dependence
-DEPENDENCE_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionState:
-    """Snapshot of the hyperplane-intersection projection loop.
-
-    `current` sits on every already-visited hyperplane (within 1e-9);
-    `ortho_basis` spans the normals visited so far, orthonormal within 1e-10.
-    """
-
-    current: np.ndarray
-    ortho_basis: np.ndarray  # r x n, rows orthonormal
-    active: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,93 +24,6 @@ class MinNormResult:
     point: np.ndarray
     signed_distance: float
     iterations: int
-
-
-def project_intersection(
-    x, planes: Sequence[geom.Hyperplane], return_state: bool = False
-):
-    """Nearest point of the affine flat cut out by `planes`, from x.
-
-    One pass of Gram-Schmidt over the plane normals; each step moves the
-    point along the new orthonormal direction onto the corresponding plane,
-    which keeps it on all earlier planes. Requires linearly independent
-    normals.
-    """
-    planes = list(planes)
-    if not planes:
-        raise errors.InputError("need at least one hyperplane")
-    n = planes[0].dim
-    y = geom.as_point(x, n).copy()
-    U = np.zeros((len(planes), n))
-    r = 0
-    for i, plane in enumerate(planes):
-        if plane.dim != n:
-            raise errors.InputError(f"hyperplane {i} has mismatched dimension")
-        w = plane.normal - (plane.normal @ U[:r].T) @ U[:r]
-        if r:
-            w -= (w @ U[:r].T) @ U[:r]
-        wn = float(np.linalg.norm(w))
-        if wn <= DEPENDENCE_TOL:
-            raise errors.DependenceError(
-                f"normal of hyperplane {i} depends on the previous ones", index=i
-            )
-        u = w / wn
-        # distance to plane i along u; <normal, u> equals the residual norm
-        d = (float(plane.normal @ y) - plane.offset) / wn
-        y -= d * u
-        U[r] = u
-        r += 1
-    y.flags.writeable = False
-    if return_state:
-        basis = U[:r].copy()
-        basis.flags.writeable = False
-        return y, ProjectionState(y, basis, tuple(range(len(planes))))
-    return y
-
-
-def reduce_family(x, h, pivot: int, return_dropped: bool = False):
-    """Re-express constraints on the pivot's boundary hyperplane.
-
-    Input couples are raw (offset, normal) pairs; each is normalized first.
-    For every non-pivot couple the normal is replaced by its unit component
-    orthogonal to the pivot normal, and the offset is moved so the reduced
-    halfspace cuts the pivot plane where the original did. Couples parallel
-    to the pivot have no trace inside the plane and are dropped; their
-    indices (in the input order) are reported when asked.
-    """
-    couples = [(float(s), geom.as_point(v, name=f"normal {j}")) for j, (s, v) in enumerate(h)]
-    if not couples:
-        raise errors.InputError("empty constraint family")
-    n = couples[0][1].shape[0]
-    if not 0 <= pivot < len(couples):
-        raise errors.InputError(f"pivot {pivot} out of range")
-    x = geom.as_point(x, n)
-    norm_p = float(np.linalg.norm(couples[pivot][1]))
-    if norm_p < 1e-12:
-        raise errors.InputError("pivot normal is degenerate")
-    p = couples[pivot][1] / norm_p
-    reduced: list[tuple[float, np.ndarray]] = []
-    dropped: list[int] = []
-    for j, (s, v) in enumerate(couples):
-        if j == pivot:
-            continue
-        if v.shape[0] != n:
-            raise errors.InputError(f"normal {j} has mismatched dimension")
-        nv = float(np.linalg.norm(v))
-        if nv < 1e-12:
-            raise errors.InputError(f"normal {j} is degenerate")
-        s, v = s / nv, v / nv
-        w = v - (v @ p) * p
-        wn = float(np.linalg.norm(w))
-        if wn < DEPENDENCE_TOL:
-            dropped.append(j)
-            continue
-        vp = w / wn
-        sp = float(x @ vp) - (float(x @ v) - s) / float(v @ vp)
-        reduced.append((sp, vp))
-    if return_dropped:
-        return reduced, dropped
-    return reduced
 
 
 def is_min_norm(x, y, P: geom.PolyhedronH, tol: float = geom.DEFAULT_TOL) -> bool:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import seeded
-from polyx import classify, errors, geom
+from polyx import classify, errors, geom, rng
 
 
 def equilateral(radius=1.0):
@@ -119,10 +119,9 @@ def test_voronoi_argmin_matches_containment():
         assert geom.contains(part.polyhedra[row], x, tol=1e-9)
 
 
-def test_kmeans_labels_and_distances_equal_broadcast_formula():
-    """Centroid-at-a-time distances are bitwise the broadcast sums, and a
-    tie goes to the lowest index."""
-    gen = seeded("kmeans-broadcast")
+def tie_construction(gen):
+    """500 rows near 4 centroids, then 20 rows equidistant from centroids 1
+    and 3."""
     centroids = gen.normal(size=(4, 156))
     centroids[3] = centroids[1]
     centroids[1, 0], centroids[3, 0] = 0.5, -0.5
@@ -130,7 +129,13 @@ def test_kmeans_labels_and_distances_equal_broadcast_formula():
     ties = centroids[1] + 0.01 * gen.normal(size=(20, 156))
     ties[:, 0] = 0.0
     near = [c + 0.3 * gen.normal(size=(125, 156)) for c in centroids]
-    data = np.vstack(near + [ties])
+    return centroids, np.vstack(near + [ties])
+
+
+def test_kmeans_labels_and_distances_equal_broadcast_formula():
+    """Centroid-at-a-time distances are bitwise the broadcast sums, and a
+    tie goes to the lowest index."""
+    centroids, data = tie_construction(seeded("kmeans-broadcast"))
     model = classify.KMeansModel(centroids, 0.0, 0)
     d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
     dist = classify.centroid_distances(model, data)
@@ -140,6 +145,137 @@ def test_kmeans_labels_and_distances_equal_broadcast_formula():
     assert np.array_equal(dist[-20:, 1], dist[-20:, 3])
     assert (labels[-20:] == 1).all()
     assert len(set(labels[:500])) == 4
+
+
+def near_ties(gen, scale=1.0, offset=0.0):
+    """400 rows whose distances to centroids 0 and 1 differ by 1e-6 to 1e2
+    times the rounding bound of the expanded form, either way round, so the
+    bound decides some and leaves others to the exact formula; then 300
+    rows clear of any tie."""
+    bands = 156
+    centroids = offset + scale * gen.uniform(0.05, 0.6, size=(3, bands))
+    axis = centroids[1] - centroids[0]
+    length = float(np.linalg.norm(axis))
+    mid = (centroids[0] + centroids[1]) / 2.0
+    lateral = gen.normal(size=(400, bands))
+    lateral -= np.outer(lateral @ axis / length**2, axis)
+    rough_bound = 16 * (bands + 4) * np.finfo(float).eps * 2 * float((centroids**2).sum(1).max())
+    gaps = rough_bound * np.logspace(-6, 2, 400) * gen.choice([-1.0, 1.0], 400)
+    # a step t along the unit axis moves the two squared distances 2 t |axis| apart
+    ties = mid + 1e-3 * scale * lateral + np.outer(gaps / (2 * length), axis / length)
+    clear = [c + 0.05 * scale * gen.normal(size=(100, bands)) for c in centroids]
+    return centroids, np.vstack([ties] + clear)
+
+
+def abundance_cube(gen, pixels, bands=156, classes=3):
+    """Linear mixtures of `classes` reflectance spectra plus noise."""
+    spectra = gen.uniform(0.05, 0.6, size=(classes, bands))
+    abund = gen.dirichlet(np.full(classes, 0.5), size=pixels)
+    return abund @ spectra + 0.01 * gen.normal(size=(pixels, bands))
+
+
+def raw_dn(data):
+    """Reflectance to raw sensor counts: most of |x|^2 is the shared offset."""
+    return data * 1e4 + 3e3
+
+
+@pytest.fixture
+def rechecked_rows(monkeypatch):
+    """Row counts of the calls `_assign` makes to the exact formula."""
+    exact = classify._sq_distances
+    calls: list[int] = []
+
+    def counting(data, centers):
+        calls.append(data.shape[0])
+        return exact(data, centers)
+
+    monkeypatch.setattr(classify, "_sq_distances", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def assign_cases():
+    gen = seeded("certified-assign")
+    centroids, data = tie_construction(gen)
+    cube = abundance_cube(gen, 9025)
+    return {
+        "ties": (centroids, data),
+        "ties-dn": (raw_dn(centroids), raw_dn(data)),
+        "near-ties": near_ties(gen),
+        "near-ties-dn": near_ties(gen, scale=1e4, offset=3e3),
+        "cube-9025x156": (cube[gen.choice(9025, 3, replace=False)], cube),
+        "cube-9025x156-dn": (raw_dn(cube[:3] + cube[3:6]) / 2.0, raw_dn(cube)),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ties", "ties-dn", "near-ties", "near-ties-dn", "cube-9025x156", "cube-9025x156-dn"],
+)
+def test_assign_equals_exact_formula_argmin(case, assign_cases, rechecked_rows):
+    """The expanded form with its recheck gives, bitwise, the labels of the
+    exact per-centroid formula, ties to the lowest index included."""
+    centroids, data = assign_cases[case]
+    want = classify._sq_distances(data, centroids).argmin(axis=1)
+    rechecked_rows.clear()
+    got = classify._assign(data, centroids, classify._row_sq_norms(data))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    if case.startswith(("ties", "near-ties")):
+        # tied rows can only be settled by the exact formula
+        assert sum(rechecked_rows) > 0
+    if case == "near-ties-dn":
+        assert sum(rechecked_rows) >= 100
+
+
+def _parent_lloyd(data, K, seed):
+    """Lloyd's loop as it stood before the expanded-form assignment: every
+    sweep labels rows by the exact formula's argmin."""
+
+    def assign(centers):
+        return classify._sq_distances(data, centers).argmin(axis=1)
+
+    gen = rng.stream(seed, "kmeans")
+    centers = classify._kmeans_init(data, K, gen)
+    labels = assign(centers)
+    for sweeps in range(1, 301):
+        max_shift = 0.0
+        reseeded: set[int] = set()
+        for k in range(K):
+            mask = labels == k
+            if not mask.any():
+                dist = ((data - centers[labels]) ** 2).sum(1)
+                if reseeded:
+                    dist[list(reseeded)] = -np.inf
+                far = int(dist.argmax())
+                reseeded.add(far)
+                centers[k] = data[far]
+                labels[far] = k
+                mask = labels == k
+            new_center = data[mask].mean(axis=0)
+            max_shift = max(max_shift, float(np.linalg.norm(new_center - centers[k])))
+            centers[k] = new_center
+        labels = assign(centers)
+        if max_shift < 1e-6:
+            break
+    inertia = float(((data - centers[labels]) ** 2).sum())
+    return centers, inertia, sweeps
+
+
+@pytest.mark.parametrize("case", ["blobs-2d", "near-ties-dn", "cube-dn"])
+def test_kmeans_fit_equals_exact_lloyd_loop(case):
+    gen = seeded(f"certified-lloyd-{case}")
+    if case == "blobs-2d":
+        data, K = 2.0 * gen.normal(size=(600, 2)), 5
+    elif case == "near-ties-dn":
+        data, K = near_ties(gen, scale=1e4, offset=3e3)[1], 3
+    else:
+        data, K = raw_dn(abundance_cube(gen, 2500)), 3
+    centers, inertia, sweeps = _parent_lloyd(data, K, seed=3)
+    m = classify.kmeans_fit(data, K, seed=3)
+    assert np.array_equal(m.centroids, centers)
+    assert m.inertia == inertia
+    assert (m.sweeps, m.capped) == (sweeps, False)
 
 
 def test_gmm_single_component_moments():
@@ -201,6 +337,28 @@ def test_svm_midpoint_frontier_1d():
     assert h.offset == pytest.approx(0.0, abs=1e-6)
     assert geom.contains(part.polyhedra[0], [-1.0], tol=1e-6)
     assert geom.contains(part.polyhedra[1], [1.0], tol=1e-6)
+
+
+def test_svm_primal_objective_and_margin_violators():
+    X = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+    t = np.array([-1.0, -1.0, 1.0, 1.0])
+    # margins 0.5: every row violates, hinge 0.5 each
+    assert classify._svm_primal(X, t, np.array([0.5, 0.0])) == (0.125 + 2.0, 4)
+    assert classify._svm_primal(X, t, np.array([2.0, 0.0])) == (2.0, 0)
+    # the bias is the last weight: it shifts the margins and counts in |w|^2
+    assert classify._svm_primal(X, t, np.array([2.0, 1.5])) == (0.5 * 6.25 + 2 * 0.5, 2)
+
+
+def test_svm_partition_metadata_lists_every_pair():
+    gen = seeded("svm-metadata")
+    data, labels = blobs(gen, [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]], sigma=0.5, per=40)
+    part = classify.ovo_svm_partition(data, labels, K=3, seed=5)
+    assert part.metadata["seed"] == 5
+    pairs = part.metadata["svm_pairs"]
+    assert [p["classes"] for p in pairs] == [[0, 1], [0, 2], [1, 2]]
+    for p in pairs:
+        assert isinstance(p["margin_violators"], int) and 0 <= p["margin_violators"] <= 80
+        assert np.isfinite(p["objective"]) and p["objective"] > 0.0
 
 
 def test_svm_separable_blobs_no_hinge_violations():

@@ -96,13 +96,16 @@ def test_image_csv_header_row(tmp_path):
 def test_image_csv_errors(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,2\n3\n", encoding="utf-8")
-    with pytest.raises(errors.FormatError):
+    with pytest.raises(errors.FormatError, match="row 2 has 1 fields, expected 2"):
         cli.load_image(p)
     p.write_text("", encoding="utf-8")
     with pytest.raises(errors.FormatError):
         cli.load_image(p)
     p.write_text("a,b\nc,d\n", encoding="utf-8")
-    with pytest.raises(errors.FormatError):
+    with pytest.raises(errors.FormatError, match="row 2: could not convert string to float: 'c'"):
+        cli.load_image(p)
+    p.write_text("band0,band1\n1,2\n3,4\n5,x\n", encoding="utf-8")
+    with pytest.raises(errors.FormatError, match="row 4: could not convert string to float: 'x'"):
         cli.load_image(p)
 
 
@@ -195,6 +198,28 @@ def test_cmd_unmix_abundance_contract(tmp_path, capsys):
     assert set(manifest["runs"][0]["timings_s"]) == {"fit", "distance", "abundance"}
     assert manifest["engine"] == _kernel.ENGINE
     assert manifest["native_error"] == _kernel.NATIVE_ERROR
+
+
+@pytest.mark.parametrize("classifier", ["kmeans", "gmm-svm"])
+def test_cmd_unmix_manifest_records_fit_counters(tmp_path, capsys, classifier):
+    _, header = toy_image(tmp_path, pixels=200)
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(
+        capsys,
+        "unmix", "--image", str(header), "--classifier", classifier,
+        "--classes", "2", "--mode", "probability", "--out", str(out_dir),
+    )
+    assert code == 0
+    fit = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["runs"][0]["fit"]
+    if classifier == "kmeans":
+        assert set(fit) == {"lloyd_sweeps", "lloyd_capped"}
+        assert fit["lloyd_sweeps"] >= 1 and fit["lloyd_capped"] is False
+    else:
+        assert set(fit) == {"em_iterations", "svm_pairs"}
+        assert fit["em_iterations"] >= 1
+        [pair] = fit["svm_pairs"]
+        assert set(pair) == {"classes", "objective", "margin_violators"}
+        assert pair["classes"] == [0, 1] and pair["objective"] > 0.0
 
 
 def test_cmd_unmix_manifest_says_why_a_run_is_pure(tmp_path, capsys, monkeypatch):
@@ -343,9 +368,30 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("polyx ")
+    assert f", numpy {np.__version__}" in out
     assert f"engine: {_kernel.ENGINE}" in out
     if _kernel.NATIVE_ERROR is not None:
         assert _kernel.NATIVE_ERROR in out
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        ({"Build Dependencies": {"blas": {"name": "openblas", "found": True}}}, f", numpy {np.__version__} (openblas), "),
+        ({"Build Dependencies": {}}, f", numpy {np.__version__}, "),
+        (None, f", numpy {np.__version__}, "),
+    ],
+)
+def test_version_flag_names_numpy_and_its_blas(capsys, monkeypatch, config, expected):
+    def show_config(mode="stdout"):
+        if config is None:  # NumPy before 1.26 takes no mode
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+        return config
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    with pytest.raises(SystemExit):
+        cli.main(["--version"])
+    assert expected in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Projection, family reduction, the optimality test, and the exact solver."""
+"""The optimality test and the exact solver."""
 
 import numpy as np
 import pytest
@@ -7,109 +7,6 @@ from helpers import exterior_query, pentad, random_polyhedron, seeded, solve_che
 from polyx import _kernel, classify, errors, geom, minnorm
 
 ENGINES = _kernel.engines()
-
-
-def plane(s, v) -> geom.Hyperplane:
-    return geom.Hyperplane(s, np.asarray(v, dtype=float))
-
-
-def lstsq_projection(x, planes):
-    """Equality-constrained least-squares oracle: y = x + A^T (A A^T)^-1 (s - A x)."""
-    A = np.array([p.normal for p in planes])
-    s = np.array([p.offset for p in planes])
-    x = np.asarray(x, dtype=float)
-    return x + A.T @ np.linalg.solve(A @ A.T, s - A @ x)
-
-
-def test_project_orthogonal_planes():
-    y = minnorm.project_intersection([0, 0], [plane(1, [1, 0]), plane(1, [0, 1])])
-    assert np.allclose(y, [1, 1], atol=1e-12)
-
-
-def test_project_oblique_pair_matches_normal_equations():
-    planes = [plane(1, [1, 0]), plane(np.sqrt(2), [1 / np.sqrt(2), 1 / np.sqrt(2)])]
-    y = minnorm.project_intersection([0, 0], planes)
-    assert np.allclose(y, [1, 1], atol=1e-10)
-    assert np.allclose(y, lstsq_projection([0, 0], planes), atol=1e-12)
-
-
-def test_project_single_plane():
-    y = minnorm.project_intersection([5, 5], [plane(1, [1, 0])])
-    assert np.allclose(y, [1, 5], atol=1e-12)
-
-
-def test_project_random_matches_normal_equations():
-    gen = seeded("proj-oracle")
-    for _ in range(40):
-        n = int(gen.integers(2, 6))
-        r = int(gen.integers(1, n + 1))
-        planes = [plane(gen.normal(), gen.normal(size=n)) for _ in range(r)]
-        x = gen.normal(size=n)
-        try:
-            y = minnorm.project_intersection(x, planes)
-        except errors.DependenceError:
-            continue
-        assert np.allclose(y, lstsq_projection(x, planes), atol=1e-8)
-        for p in planes:
-            assert abs(p.normal @ y - p.offset) < 1e-9
-
-
-def test_project_reports_dependent_index():
-    planes = [plane(1, [1, 0]), plane(0, [0, 1]), plane(3, [1, 1])]
-    with pytest.raises(errors.DependenceError) as info:
-        minnorm.project_intersection([0, 0], planes)
-    assert info.value.index == 2
-
-
-def test_project_state_has_orthonormal_basis():
-    planes = [plane(1, [1, 0]), plane(np.sqrt(2), [1 / np.sqrt(2), 1 / np.sqrt(2)])]
-    y, state = minnorm.project_intersection([0, 0], planes, return_state=True)
-    assert np.array_equal(state.current, y)
-    G = state.ortho_basis @ state.ortho_basis.T
-    assert np.allclose(G, np.eye(2), atol=1e-12)
-
-
-def test_reduce_family_orthogonal_constraint_unchanged():
-    reduced = minnorm.reduce_family([1, 0], [(1, [1, 0]), (1, [0, 1])], pivot=0)
-    (s, v), = reduced
-    assert np.allclose(v, [0, 1], atol=1e-12)
-    assert s == pytest.approx(1.0)
-
-
-def test_reduce_family_drops_parallel():
-    reduced, dropped = minnorm.reduce_family(
-        [1, 0], [(1, [1, 0]), (2, [1, 0])], pivot=0, return_dropped=True
-    )
-    assert reduced == []
-    assert dropped == [1]
-
-
-def test_reduce_family_oblique_crossing():
-    # Inside the plane x1 = 1, the constraint x1 + x2 <= 2 must cut at x2 = 1.
-    r = 1 / np.sqrt(2)
-    reduced = minnorm.reduce_family(
-        [1, 0], [(1, [1, 0]), (np.sqrt(2), [r, r])], pivot=0
-    )
-    (s, v), = reduced
-    assert np.allclose(v, [0, 1], atol=1e-12)
-    assert s == pytest.approx(1.0, abs=1e-12)
-
-
-def test_reduce_family_normalizes_raw_couples():
-    # (2, [2, 2]) and its unit form (1/sqrt(2), [r, r]) describe one halfspace
-    r = 1 / np.sqrt(2)
-    a = minnorm.reduce_family([1, 0], [(1, [1, 0]), (2, [2, 2])], pivot=0)
-    b = minnorm.reduce_family([1, 0], [(1, [1, 0]), (r, [r, r])], pivot=0)
-    assert np.allclose(a[0][1], b[0][1], atol=1e-12)
-    assert a[0][0] == pytest.approx(b[0][0], abs=1e-12)
-    # the x1 + x2 <= 1 trace inside the plane x1 = 1 is exactly x2 <= 0
-    assert np.allclose(a[0][1], [0, 1], atol=1e-12)
-    assert a[0][0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_reduce_family_pivot_bounds():
-    with pytest.raises(errors.InputError):
-        minnorm.reduce_family([1, 0], [(1, [1, 0])], pivot=3)
 
 
 def test_is_min_norm_corner():
