@@ -9,6 +9,40 @@ from polyx import _kernel, classify, errors, geom, minnorm
 ENGINES = _kernel.engines()
 
 
+def lstsq_projection(x, rows):
+    """Equality-constrained least-squares oracle: y = x + A^T (A A^T)^-1 (s - A x)."""
+    A = np.array([v for _, v in rows], dtype=float)
+    s = np.array([s for s, _ in rows], dtype=float)
+    x = np.asarray(x, dtype=float)
+    return x + A.T @ np.linalg.solve(A @ A.T, s - A @ x)
+
+
+def test_project_single_plane():
+    # the search's first projection: onto the one violated boundary x1 = 1
+    res = solve_checked(geom.PolyhedronH.from_rows([(1, [1, 0])]), [5, 5])
+    assert np.allclose(res.point, [1, 5], atol=1e-12)
+    assert res.signed_distance == pytest.approx(4.0)
+
+
+def test_project_orthogonal_planes():
+    # x1 >= 1, x2 >= 1: from the origin the search projects onto both planes
+    rows = [(-1, [-1, 0]), (-1, [0, -1])]
+    res = solve_checked(geom.PolyhedronH.from_rows(rows), [0, 0])
+    assert np.allclose(res.point, [1, 1], atol=1e-12)
+    assert np.allclose(res.point, lstsq_projection([0, 0], rows), atol=1e-12)
+
+
+def test_project_oblique_pair_matches_normal_equations():
+    # x1 >= 1, x1 + x2 >= 2: from (-3, 0) each single-plane foot violates the
+    # other plane, so the answer is the projection onto their intersection
+    rows = [(-1, [-1, 0]), (-2, [-1, -1])]
+    x = [-3, 0]
+    res = solve_checked(geom.PolyhedronH.from_rows(rows), x)
+    assert np.allclose(res.point, [1, 1], atol=1e-10)
+    assert np.allclose(res.point, lstsq_projection(x, rows), atol=1e-12)
+    assert res.signed_distance == pytest.approx(np.sqrt(17))
+
+
 def test_is_min_norm_corner():
     assert minnorm.is_min_norm([2, 2], [1, 1], square())
 
