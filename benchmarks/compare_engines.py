@@ -1,12 +1,13 @@
-"""Head-to-head timing of the compiled and pure solver engines.
+"""Timing of the one exact search on the compiled and the pure primitives.
 
-Feeds identical certified instances to both implementations, insists the
-answers stay bit-for-bit equal, and prints per-k medians with the speedup.
-Each instance is timed twice: one query through `min_norm_point` (best of
-3), and one batch of 64 exterior queries through `solve_many`, the path the
-pixel pipeline takes. The pure engine computes the root redundancy mask
-once per batch and the compiled one once per query, so the two speedups
-differ.
+The search always runs in Python; an engine supplies only its LP and SVM
+primitives (`_kernel.PRIMITIVES`). Each engine's primitives are bound in
+turn, the search gets identical certified instances on both, the answers
+must agree (statuses and node counts equal, points to 1e-9), and per-k
+medians are printed with the speedup of the compiled primitives. Each
+instance is timed twice: one query through `min_norm_point` (best of 3), and
+one batch of 64 exterior queries through `solve_many`, the path the pixel
+pipeline takes, which computes the root redundancy mask once per batch.
 
 The SVM rows time both engines' `svm_pair` on the one-vs-one pairs that
 `polyx unmix --classifier gmm-svm` fits on the benchmark's own cubes
@@ -15,10 +16,11 @@ passes at the full 1000-epoch sweep, and the largest pair of one 95x95 px,
 156-band cube of the same recipe (Samson-sized) at capped epochs. They
 print the largest |w_native - w_python| next to the times.
 
-The signed_distances rows time `minnorm.signed_distances` on each engine
-over the batches `polyx unmix --mode probability` hands it: every class
-polyhedron of the CLI's k-means and gmm-svm fits against all pixels, on the
-six cubes of the first two samson-kmeans-prob and cube-svm-prob passes.
+The signed_distances rows time `minnorm.signed_distances` on each engine's
+primitives over the batches `polyx unmix --mode probability` hands it:
+every class polyhedron of the CLI's k-means and gmm-svm fits against all
+pixels, on the six cubes of the first two samson-kmeans-prob and
+cube-svm-prob passes.
 Each row gives the best of 3 times and the share of exterior rows that the
 first-projection pass leaves to the kernel's search.
 
@@ -30,6 +32,7 @@ first-projection pass leaves to the kernel's search.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import statistics
@@ -64,14 +67,27 @@ def exterior_batch(V, S, seed: int) -> np.ndarray:
     return np.array(rows)
 
 
-def time_solve(impl, V, S, x, budget: float) -> tuple[int, np.ndarray, int]:
+@contextlib.contextmanager
+def primitives(impl):
+    """Bind `impl`'s LP and SVM primitives in `_kernel` for the block."""
+    saved = {name: getattr(_kernel, name) for name in _kernel.PRIMITIVES}
+    for name in _kernel.PRIMITIVES:
+        setattr(_kernel, name, getattr(impl, name))
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(_kernel, name, fn)
+
+
+def time_solve(V, S, x, budget: float) -> tuple[int, np.ndarray, int]:
     """Best-of-3 wall time in ns, the returned point and the node count."""
     best = None
     point = None
     nodes = 0
     for _ in range(3):
         t0 = time.perf_counter_ns()
-        y, nodes, status = impl.min_norm_point(V, S, x, time_budget=budget)
+        y, nodes, status = _kernel.min_norm_point(V, S, x, time_budget=budget)
         dt = time.perf_counter_ns() - t0
         if status != _kernel.FOUND:
             raise RuntimeError(f"unexpected solver status {status}")
@@ -80,11 +96,11 @@ def time_solve(impl, V, S, x, budget: float) -> tuple[int, np.ndarray, int]:
     return best, point, nodes
 
 
-def time_batch(impl, V, S, X, budget: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def time_batch(V, S, X, budget: float) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Wall time in ns of one solve_many call (64 solves already average out
     the noise), then (Y, nodes, status)."""
     t0 = time.perf_counter_ns()
-    Y, _, nodes, status = impl.solve_many(V, S, X, time_budget=budget)
+    Y, _, nodes, status = _kernel.solve_many(V, S, X, time_budget=budget)
     ns = time.perf_counter_ns() - t0
     return ns, np.asarray(Y), np.asarray(nodes), np.asarray(status)
 
@@ -155,28 +171,28 @@ def distance_batches(spec: workloads.CubeSpec, seeds) -> list:
 
 
 def time_distances(impl, batches) -> tuple[float, int, list]:
-    """Best-of-3 seconds `signed_distances` takes over all batches with
-    `impl` as the kernel, the rows one pass hands to the search, and the
+    """Best-of-3 seconds `signed_distances` takes over all batches on
+    `impl`'s primitives, the rows one pass hands to the search, and the
     distances."""
     searched = 0
+    search = _kernel.solve_many
 
-    def search(V, S, X, **kwargs):
+    def counted(V, S, X, **kwargs):
         nonlocal searched
         searched += len(X)
-        return impl.solve_many(V, S, X, **kwargs)
+        return search(V, S, X, **kwargs)
 
-    saved = {name: getattr(_kernel, name) for name in ("solve_many", "min_h_mask", "feasible")}
-    _kernel.solve_many, _kernel.min_h_mask, _kernel.feasible = search, impl.min_h_mask, impl.feasible
+    _kernel.solve_many = counted
     try:
-        seconds = []
-        for _ in range(3):
-            searched = 0
-            t0 = time.perf_counter()
-            dists = [minnorm.signed_distances(P, X) for P, X in batches]
-            seconds.append(time.perf_counter() - t0)
+        with primitives(impl):
+            seconds = []
+            for _ in range(3):
+                searched = 0
+                t0 = time.perf_counter()
+                dists = [minnorm.signed_distances(P, X) for P, X in batches]
+                seconds.append(time.perf_counter() - t0)
     finally:
-        for name, fn in saved.items():
-            setattr(_kernel, name, fn)
+        _kernel.solve_many = search
     return min(seconds), searched, dists
 
 
@@ -221,22 +237,23 @@ def run(args) -> list[dict]:
             X = exterior_batch(V, S, seed)
             points, counts, batches = {}, {}, {}
             for name, impl in engines.items():
-                ns, points[name], counts[name] = time_solve(impl, V, S, x, args.budget)
-                single[name].append(ns)
-                ns, *batches[name] = time_batch(impl, V, S, X, args.budget)
-                batch[name].append(ns)
+                with primitives(impl):
+                    ns, points[name], counts[name] = time_solve(V, S, x, args.budget)
+                    single[name].append(ns)
+                    ns, *batches[name] = time_batch(V, S, X, args.budget)
+                    batch[name].append(ns)
             # same decision path, coordinates equal to round-off
             if counts["native"] != counts["python"] or not np.allclose(
                 points["native"], points["python"], atol=1e-9
             ):
-                raise RuntimeError(f"engines disagree at n={n} k={k} rep={rep}")
+                raise RuntimeError(f"primitives disagree at n={n} k={k} rep={rep}")
             (Yn, nn, sn), (Yp, npy, sp) = batches["native"], batches["python"]
             if not (
                 np.array_equal(sn, sp)
                 and np.array_equal(nn, npy)
                 and np.allclose(Yn, Yp, atol=1e-9)
             ):
-                raise RuntimeError(f"engines disagree on the batch at n={n} k={k} rep={rep}")
+                raise RuntimeError(f"primitives disagree on the batch at n={n} k={k} rep={rep}")
         row = {"n": n, "k": k}
         for name in engines:
             row[f"{name}_ns"] = int(statistics.median(single[name]))

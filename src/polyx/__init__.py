@@ -6,10 +6,10 @@ H-descriptions, an ADMM baseline for comparison, and builds on those a
 small hyperspectral unmixing pipeline (clustering, polyhedral partitions,
 abundance and probability maps) plus a reproducible benchmark harness.
 
-The distance kernel exists twice: a compiled extension and a pure-Python
-twin with identical semantics. Import picks the compiled one when present;
-set POLYX_PURE=1 to force the fallback. `polyx.ENGINE` names the active
-choice.
+The exact search runs in Python on LP and SVM primitives that come from a
+compiled extension when present and from pure NumPy twins with identical
+semantics otherwise; set POLYX_PURE=1 to force the fallback. `polyx.ENGINE`
+names the active choice.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ from .errors import (
     BudgetExceededError,
     ConditioningError,
     ConvergenceError,
-    DependenceError,
     DtypeError,
     EmptyPolyhedronError,
     FormatError,
@@ -49,7 +48,6 @@ __all__ = [
     "BudgetExceededError",
     "ConditioningError",
     "ConvergenceError",
-    "DependenceError",
     "DtypeError",
     "EmptyPolyhedronError",
     "FormatError",

@@ -1,7 +1,10 @@
-"""Kernel selection: compiled extension when present, pure NumPy otherwise.
+"""Kernel selection: LP and SVM primitives from the compiled extension when
+present, from pure NumPy otherwise. The one search (`min_norm_point`,
+`solve_many`, in ``pure``) calls its LPs through this module, so it runs on
+whichever primitives are bound here; ``native``'s own search is unused.
 
-``POLYX_PURE=1`` in the environment forces the fallback even when the
-compiled module imported fine; useful for debugging and for the engine
+``POLYX_PURE=1`` in the environment forces the pure primitives even when
+the compiled module imported fine; useful for debugging and for the engine
 comparison benchmark. ``NATIVE_ERROR`` keeps the text of the ``ImportError``
 the compiled module raised, so a pure run can say why it is pure; it is
 ``None`` when the compiled module loaded or ``POLYX_PURE`` kept it from
@@ -20,6 +23,7 @@ INSIDE = pure.INSIDE
 NODE_BUDGET = pure.NODE_BUDGET
 TIME_BUDGET = pure.TIME_BUDGET
 EXHAUSTED = pure.EXHAUSTED
+PRIMITIVES = ("feasible", "strict_margin", "min_h_mask", "svm_pair")
 
 _impl = pure
 ENGINE = "python"
@@ -39,9 +43,9 @@ if not os.environ.get("POLYX_PURE"):
 feasible = _impl.feasible
 strict_margin = _impl.strict_margin
 min_h_mask = _impl.min_h_mask
-min_norm_point = _impl.min_norm_point
-solve_many = _impl.solve_many
 svm_pair = _impl.svm_pair
+min_norm_point = pure.min_norm_point
+solve_many = pure.solve_many
 
 
 def describe() -> str:
@@ -54,12 +58,8 @@ def describe() -> str:
 
 
 def engines() -> dict:
-    """Importable engines by name; at least the pure one."""
-    table = {"python": pure}
+    """Importable primitive sets by engine name; at least the pure one."""
     try:
-        from . import native as nat
+        return {"python": pure, "native": importlib.import_module(".native", __name__)}
     except ImportError:
-        pass
-    else:
-        table["native"] = nat
-    return table
+        return {"python": pure}

@@ -1,10 +1,11 @@
-"""Pure NumPy kernel: dense two-phase simplex, minimum-description mask, and
-the recursive exact nearest-point search.
+"""Pure NumPy kernel: dense two-phase simplex, minimum-description mask, the
+SVM dual sweep, and the one exact nearest-point search.
 
-This module is the import-time fallback for the compiled kernel in
-``native.pyx``; both implement identical semantics and tolerances. Everything
-here is deliberately free of package-internal imports so the two kernels stay
-drop-in interchangeable.
+The LP and SVM primitives here are the import-time fallback for the compiled
+ones in ``native.pyx``; both implement identical semantics and tolerances.
+The search (`min_norm_point`, `solve_many`) serves both engines: it calls
+`strict_margin` and `min_h_mask` through the package, which binds them to
+whichever primitives are active.
 
 Status codes returned by ``min_norm_point``:
     0  found (query outside, exact point returned)
@@ -19,6 +20,8 @@ from __future__ import annotations
 import time
 
 import numpy as np
+
+from .. import _kernel
 
 FOUND = 0
 INSIDE = 1
@@ -161,17 +164,20 @@ def _necessity_mask(V, S, feet, strict_tol):
     if k == 1:
         return keep
     G = feet @ V.T - S[None, :]
-    np.fill_diagonal(G, -np.inf)
+    G.flat[:: k + 1] = -np.inf  # the diagonal
     certified = G.max(axis=1) < -1e-9
-    for i in range(k - 1, -1, -1):
-        if certified[i]:
-            continue
-        sel = keep.copy()
+    # each LP takes the retained rows but i, then row i flipped: the rows of
+    # [V; -V] that `sel` picks, in that order
+    VV = np.concatenate((V, -V))
+    SS = np.concatenate((S, -S))
+    sel = np.zeros(2 * k, dtype=bool)
+    for i in np.flatnonzero(~certified)[::-1].tolist():
+        sel[:k] = keep
         sel[i] = False
-        rows = np.vstack([V[sel], -V[i : i + 1]])
-        rhs = np.concatenate([S[sel], [-S[i]]])
-        if strict_margin(rows, rhs) <= strict_tol:
+        sel[k + i] = True
+        if _kernel.strict_margin(VV[sel], SS[sel]) <= strict_tol:
             keep[i] = False
+        sel[k + i] = False
     return keep
 
 
@@ -192,7 +198,6 @@ def min_norm_point(
     strict_tol: float = 1e-9,
     node_limit: int = 10_000_000,
     time_budget: float | None = None,
-    deep_min_h: bool = True,
 ):
     """Exact nearest point of the polyhedron {z : V z <= S} from x.
 
@@ -200,18 +205,47 @@ def min_norm_point(
     y is the unique nearest point; with INSIDE, y is x itself. The search
     projects onto descending-signed-distance hyperplanes recursively,
     certifying candidate points with the strict-system optimality criterion.
-    Redundant halfspaces are masked out at the root; `deep_min_h` masks them
-    in every reduced family below it as well.
+    Redundant halfspaces are masked out of every family it branches on, the
+    root one included. A query the search would settle at its second node
+    skips it (`_second_node`).
     """
     V = np.ascontiguousarray(V, dtype=np.float64)
     S = np.ascontiguousarray(S, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return _search(V, S, x, [None], eps, eps_dep, strict_tol, node_limit,
-                   time_budget, deep_min_h)
+    if node_limit >= 2 and (time_budget is None or time_budget > 0):
+        foot = _second_node(V, S, x, eps, eps_dep)
+        if foot is not None:
+            return foot, 2, FOUND
+    return _search(V, S, x, [None], eps, eps_dep, strict_tol, node_limit, time_budget)
 
 
-def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget,
-            deep_min_h):
+def _second_node(V, S, x, eps, eps_dep):
+    """The search's answer when it provably stops at its second node, else None.
+
+    The search first pivots on the kept row of largest normalized margin
+    (lowest index on ties) and stops at its foot if the foot lies in P. This
+    takes the same foot when that row is certified kept without an LP, as in
+    `_necessity_mask`, by a margin that round-off in the mask cannot undo.
+    """
+    margins = V @ x - S
+    if margins.max() <= eps:
+        return None
+    wn = np.sqrt(np.add.reduce(V * V, axis=1))  # the search's depth-0 wn
+    dist = margins / wn
+    c = int(dist.argmax())
+    if not (wn[c] > eps_dep and dist[c] > eps):
+        return None
+    foot = x - dist[c] * (V[c] / wn[c])
+    if (V @ foot - S).max() > eps:
+        return None
+    g = V @ (S[c] * V[c]) - S
+    g[c] = -np.inf
+    if g.max() >= -1e-9 - 1e-12 * (1.0 + np.abs(S).max()):
+        return None
+    return foot
+
+
+def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
     """min_norm_point on contiguous arrays, sharing the root mask in root[0].
 
     At depth 0 the reduced family is (V, S) itself, so its redundancy mask
@@ -232,9 +266,9 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget,
         nv = np.linalg.norm(v)
         if nv <= eps:
             return True
-        rows = np.vstack([V, v[None, :] / nv])
-        rhs = np.concatenate([S, [float(y @ v) / nv]])
-        return strict_margin(rows, rhs) <= strict_tol
+        rows = np.concatenate((V, v[None, :] / nv))
+        rhs = np.concatenate((S, [float(y @ v) / nv]))
+        return _kernel.strict_margin(rows, rhs) <= strict_tol
 
     def node(y, active, depth):
         assert depth <= n
@@ -250,31 +284,33 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget,
             return y if criterion(y) else None
         if depth == n or active.size == 0:
             return None
-        Va = V[active]
-        Ud = U[:depth]
-        W = Va - (Va @ Ud.T) @ Ud
         if depth:
+            Va = V[active]
+            Ud = U[:depth]
+            W = Va - (Va @ Ud.T) @ Ud
             W -= (W @ Ud.T) @ Ud  # second pass keeps the basis orthonormal
-        wn = np.linalg.norm(W, axis=1)
+        else:
+            W = V  # what the projection above gives at depth 0, bit for bit
+        wn = np.sqrt(np.add.reduce(W * W, axis=1))  # np.linalg.norm(W, axis=1)
         indep = wn > eps_dep
-        if not indep.any():
-            return None
-        idx = active[indep]
-        Ui = W[indep] / wn[indep][:, None]
-        dist = m_full[idx] / wn[indep]
+        idx = active
+        if not indep.all():
+            if not indep.any():
+                return None
+            idx, W, wn = active[indep], W[indep], wn[indep]
+        Ui = W / wn[:, None]
+        dist = m_full[idx] / wn
         feet = y[None, :] - dist[:, None] * Ui
         if depth == 0:
             if root[0] is None:
-                root[0] = min_h_mask(V, S, strict_tol)
+                root[0] = _kernel.min_h_mask(V, S, strict_tol)
             keep = root[0][indep]
-        elif deep_min_h:
-            keep = _necessity_mask(Ui, Ui @ y - dist, feet, strict_tol)
         else:
-            keep = np.ones(idx.size, dtype=bool)
-        cand = np.nonzero(keep & (dist > eps))[0]
+            keep = _necessity_mask(Ui, Ui @ y - dist, feet, strict_tol)
+        cand = (keep & (dist > eps)).nonzero()[0]
         if cand.size == 0:
             return None
-        order = cand[np.argsort(-dist[cand], kind="stable")]
+        order = cand[(-dist[cand]).argsort(kind="stable")]
         alive = keep.copy()
         for c in order:
             alive[c] = False  # tried pivots stay removed: combinations only
@@ -298,7 +334,7 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget,
 
 
 def solve_many(V, S, X, eps=1e-9, eps_dep=1e-10, strict_tol=1e-9,
-               node_limit=10_000_000, time_budget=None, deep_min_h=True):
+               node_limit=10_000_000, time_budget=None):
     """Vector/batch driver over rows of X. Returns (Y, dist, nodes, status).
 
     The time budget, when given, applies per solve. The root redundancy mask
@@ -315,7 +351,7 @@ def solve_many(V, S, X, eps=1e-9, eps_dep=1e-10, strict_tol=1e-9,
     root = [None]
     for i in range(m):
         y, nd, st = _search(Vc, Sc, X[i], root, eps, eps_dep, strict_tol,
-                            node_limit, time_budget, deep_min_h)
+                            node_limit, time_budget)
         Y[i] = y
         nodes[i] = nd
         status[i] = st

@@ -340,17 +340,9 @@ def _cmd_unmix(args) -> int:
             values = unmix.abundances_from_endmembers(img, endmembers, clip=args.clip_abundances)
             timings["abundance"] = time.perf_counter() - t0
         else:
-            # Mirrors unmix.probability_pipeline stage by stage so the
-            # manifest can report the distance stage on its own.
-            t0 = time.perf_counter()
-            dists = unmix.class_signed_distances(img, partition, threads=args.threads)
-            timings["distance"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            dv = density.DistanceVectors(dists, "signed-polyhedral")
-            if args.basis_change:
-                dv = density.basis_change(dv)
-            values = density.softmax_density(density.std_scale(dv), alpha=args.alpha).values
-            timings["density"] = time.perf_counter() - t0
+            values = unmix.probability_pipeline(
+                img, partition, alpha=args.alpha, use_basis_change=args.basis_change, timings=timings
+            ).values
         rr = RunResult(seed, args.mode, np.asarray(values), img.width, img.height, endmembers, timings=timings, fit=fit)
         if truth is not None:
             rr.rmse, rr.permutation = unmix.rmse(rr.values, truth, permute=True)
@@ -366,7 +358,6 @@ def _cmd_unmix(args) -> int:
         "alpha": args.alpha,
         "basis_change": args.basis_change,
         "clip_abundances": args.clip_abundances,
-        "threads": minnorm._thread_count(args.threads),
         "truth": str(args.truth) if args.truth else None,
     }
     save_outputs(results, args.out, settings, pgm=args.pgm)
@@ -439,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     ux.add_argument("--basis-change", action="store_true", help="re-express distances per deepest vector")
     ux.add_argument("--clip-abundances", action="store_true", help="clip to [0,1] and renormalize")
     ux.add_argument("--truth", help="reference maps (CSV or raw-map JSON); adds rmse.csv")
-    ux.add_argument("--threads", type=int, default=None, help="pixel-loop parallelism (default: all cores)")
+    # accepted for old command lines; the search runs on one thread
+    ux.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     ux.add_argument("--pgm", action="store_true", help="also write one PGM per class")
     ux.add_argument("--out", required=True, help="output directory")
     ux.set_defaults(func=_cmd_unmix)

@@ -20,16 +20,6 @@ class EmptyPolyhedronError(PolyxError):
     code = "empty-polyhedron"
 
 
-class DependenceError(PolyxError):
-    """Linearly dependent normals where independence is required."""
-
-    code = "dependent-normals"
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
-
-
 class BudgetExceededError(PolyxError):
     code = "budget-exceeded"
 

@@ -4,14 +4,13 @@ The solver projects the query onto intersections of boundary hyperplanes,
 recursing through reduced constraint families until a candidate passes the
 global optimality test (a strict linear system that is infeasible exactly at
 the nearest point). The search, with its projections and family reductions,
-lives in the kernel; this module holds the public result type, the
-optimality test, and the single and batch entry points.
+lives in the kernel, which runs it on the active engine's LP primitives;
+this module holds the public result type, the optimality test, and the
+single and batch entry points.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,18 +107,6 @@ def _check_batch(status, node_limit: int, V, S) -> None:
         _raise_for_status(int(bad[0]), node_limit, V, S)
 
 
-def _thread_count(threads: int | None) -> int:
-    env = os.environ.get("POLYX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise errors.InputError("POLYX_THREADS must be an integer") from None
-    if threads is None:
-        return os.cpu_count() or 1
-    return max(1, int(threads))
-
-
 def _first_projection(V, S, pts, margins, eps: float = 1e-9):
     """Rows of `pts` whose foot on their most violated hyperplane lies in P.
 
@@ -150,7 +137,6 @@ def _first_projection(V, S, pts, margins, eps: float = 1e-9):
 def signed_distances(
     P: geom.PolyhedronH,
     X,
-    threads: int | None = 1,
     node_limit: int = 10_000_000,
 ) -> np.ndarray:
     """Signed distance of every row of X to P.
@@ -162,11 +148,8 @@ def signed_distances(
       violated hyperplane lies in P is at distance |foot - x|, found in one
       vectorized pass over the margins (see `_first_projection`); this is
       the search's second node, so it runs only when `node_limit` >= 2;
-    - searched: the rows left over go to the kernel's exact recursive search.
-
-    The searched rows may be chunked across threads (the compiled kernel
-    drops the GIL); results are positionally assembled, so the thread count
-    never affects values.
+    - searched: the rows left over go to the kernel's exact recursive search,
+      in one batch that shares the root redundancy mask.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != P.dim:
@@ -192,22 +175,7 @@ def signed_distances(
         out[todo[settled]] = dist[settled]
         todo, pts = todo[~settled], pts[~settled]
     if todo.size:
-        nthreads = _thread_count(threads)
-        if nthreads <= 1 or todo.size < 64:
-            _, dist, _, status = _kernel.solve_many(V, S, pts, node_limit=node_limit)
-            _check_batch(status, node_limit, V, S)
-            out[todo] = dist
-        else:
-            chunks = np.array_split(np.arange(todo.size), nthreads)
-            results: list[np.ndarray | None] = [None] * len(chunks)
-
-            def work(ci: int) -> None:
-                idx = chunks[ci]
-                _, dist, _, status = _kernel.solve_many(V, S, pts[idx], node_limit=node_limit)
-                _check_batch(status, node_limit, V, S)
-                results[ci] = dist
-
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                list(pool.map(work, range(len(chunks))))
-            out[todo] = np.concatenate([r for r in results if r is not None])
+        _, dist, _, status = _kernel.solve_many(V, S, pts, node_limit=node_limit)
+        _check_batch(status, node_limit, V, S)
+        out[todo] = dist
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polyx import geom, lpfeas, minnorm
+from polyx import _kernel, geom, lpfeas, minnorm
 from polyx.rng import stream
 
 
@@ -62,3 +62,10 @@ def solve_checked(P: geom.PolyhedronH, x, **kwargs) -> minnorm.MinNormResult:
 def seeded(label: str, index: int = 0) -> np.random.Generator:
     """Deterministic per-test generator, decoupled across labels."""
     return stream(20260819, label, index)
+
+
+def use_engine(monkeypatch, name: str) -> None:
+    """Bind the named engine's LP and SVM primitives for the rest of a test."""
+    mod = _kernel.engines()[name]
+    for attr in _kernel.PRIMITIVES:
+        monkeypatch.setattr(_kernel, attr, getattr(mod, attr))

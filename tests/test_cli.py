@@ -299,19 +299,20 @@ def test_cmd_unmix_truth_shape_guard(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "invalid-input"
 
 
-def test_cmd_unmix_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("POLYX_THREADS", "3")
+def test_cmd_unmix_accepts_and_ignores_threads(tmp_path, capsys):
     _, header = toy_image(tmp_path)
-    out_dir = tmp_path / "o"
     code, _, _ = run_cli(
         capsys,
-        "unmix", "--image", str(header), "--classifier", "kmeans",
-        "--classes", "2", "--mode", "probability", "--seed", "0",
-        "--out", str(out_dir),
+        "unmix", "--image", str(header), "--classifier", "kmeans", "--classes", "2",
+        "--mode", "probability", "--threads", "3", "--out", str(tmp_path / "o"),
     )
     assert code == 0
-    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["settings"]["threads"] == 3
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    assert "threads" not in manifest["settings"]
+    assert set(manifest["runs"][0]["timings_s"]) == {"fit", "distance", "density"}
+    with pytest.raises(SystemExit):
+        cli.main(["unmix", "--help"])
+    assert "--threads" not in capsys.readouterr().out
 
 
 def test_cmd_rmse(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Kernel twins: the compiled and pure engines must agree bit-for-bit in
-status, node count and coordinates (to round-off) on the same inputs."""
+"""The kernel: one search, run on either engine's primitives. The compiled
+and pure primitives must agree, and the search must then agree with itself
+in status, node count and coordinates (to round-off) on the same inputs."""
 
 import re
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_rows, seeded
+from helpers import pentad, random_rows, seeded, use_engine
 from polyx import _kernel
+from polyx._kernel import pure
 
 ENGINES = _kernel.engines()
 BOTH = pytest.mark.skipif(len(ENGINES) < 2, reason="compiled engine not built")
@@ -33,84 +35,89 @@ REDUNDANT_FAMILIES = {
 }
 
 
+@pytest.fixture(params=sorted(ENGINES))
+def engine(request, monkeypatch):
+    """Run the test's searches on each engine's primitives in turn."""
+    use_engine(monkeypatch, request.param)
+    return request.param
+
+
 def test_engine_selection_is_reported():
     assert _kernel.ENGINE in ENGINES
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_square_corner(engine):
-    mod = ENGINES[engine]
     V = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
     S = np.array([1.0, 0, 1, 0])
-    y, nodes, status = mod.min_norm_point(V, S, np.array([2.0, 2.0]))
+    y, nodes, status = _kernel.min_norm_point(V, S, np.array([2.0, 2.0]))
     assert status == _kernel.FOUND
     assert np.allclose(y, [1, 1], atol=1e-12)
     assert nodes >= 1
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_interior_point_is_flagged(engine):
-    mod = ENGINES[engine]
     V = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
     S = np.array([1.0, 0, 1, 0])
-    _, _, status = mod.min_norm_point(V, S, np.array([0.5, 0.5]))
+    _, _, status = _kernel.min_norm_point(V, S, np.array([0.5, 0.5]))
     assert status == _kernel.INSIDE
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_empty_polyhedron_exhausts(engine):
-    mod = ENGINES[engine]
     V = np.array([[1.0], [-1.0]])
     S = np.array([0.0, -1.0])
-    _, _, status = mod.min_norm_point(V, S, np.array([3.0]))
+    _, _, status = _kernel.min_norm_point(V, S, np.array([3.0]))
     assert status == _kernel.EXHAUSTED
-    assert not mod.feasible(V, S)
+    assert not _kernel.feasible(V, S)
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_node_budget_is_respected(engine):
-    mod = ENGINES[engine]
     gen = seeded("budget")
     V, S = random_rows(5, 8, gen, lo=0.5, hi=1.5)
     x = np.full(5, 3.0)
-    _, nodes, status = mod.min_norm_point(V, S, x, node_limit=1)
+    _, nodes, status = _kernel.min_norm_point(V, S, x, node_limit=1)
     assert status in (_kernel.NODE_BUDGET, _kernel.FOUND)
     if status == _kernel.NODE_BUDGET:
         assert nodes >= 1
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_time_budget_zero_trips_immediately(engine):
-    mod = ENGINES[engine]
     V = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]])
     S = np.array([1.0, 0, 1, 0])
-    _, _, status = mod.min_norm_point(V, S, np.array([2.0, 2.0]), time_budget=0.0)
+    _, _, status = _kernel.min_norm_point(V, S, np.array([2.0, 2.0]), time_budget=0.0)
     assert status == _kernel.TIME_BUDGET
 
 
+def test_second_node_shortcut_skips_a_weakly_redundant_row(engine):
+    # the pentad's most violated row at (3, 3) is the redundant x1 + x2 <= 2,
+    # whose foot (1, 1) lies in P: the search never pivots on it
+    V, S = pentad().matrix()
+    x = np.array([3.0, 3.0])
+    assert pure._second_node(V, S, x, 1e-9, 1e-10) is None
+    y, nodes, status = _kernel.min_norm_point(V, S, x)
+    want = pure._search(V, S, x, [None], 1e-9, 1e-10, 1e-9, 10_000_000, None)
+    assert (nodes, status) == want[1:] and nodes > 2
+    assert np.array_equal(y, want[0])
+
+
 @BOTH
-def test_engines_agree_on_solutions():
+def test_engines_agree_on_solutions(monkeypatch):
     gen = seeded("parity")
-    native, pure = ENGINES["native"], ENGINES["python"]
+    queries = []
     for trial in range(120):
         n = int(gen.integers(2, 6))
         k = int(gen.integers(1, 9))
         V, S = random_rows(n, k, gen)
-        x = gen.normal(size=n) * 2.0
-        yn, cn, sn = native.min_norm_point(V, S, x)
-        yp, cp, sp = pure.min_norm_point(V, S, x)
-        assert sn == sp, trial
-        assert cn == cp, trial
-        if sn == _kernel.FOUND:
-            assert np.allclose(yn, yp, atol=1e-9), trial
+        queries.append((trial, V, S, gen.normal(size=n) * 2.0))
     for name, (V, S) in REDUNDANT_FAMILIES.items():
-        for trial in range(40):
-            x = gen.normal(size=2) * 2.0
-            yn, cn, sn = native.min_norm_point(V, S, x)
-            yp, cp, sp = pure.min_norm_point(V, S, x)
-            assert (sn, cn) == (sp, cp), (name, trial)
-            if sn == _kernel.FOUND:
-                assert np.allclose(yn, yp, atol=1e-9), (name, trial)
+        queries += [((name, trial), V, S, gen.normal(size=2) * 2.0) for trial in range(40)]
+    runs = {}
+    for engine in ("native", "python"):
+        use_engine(monkeypatch, engine)
+        runs[engine] = [_kernel.min_norm_point(V, S, x) for _, V, S, x in queries]
+    for (label, *_), (yn, cn, sn), (yp, cp, sp) in zip(queries, runs["native"], runs["python"]):
+        assert (sn, cn) == (sp, cp), label
+        if sn == _kernel.FOUND:
+            assert np.allclose(yn, yp, atol=1e-9), label
 
 
 @BOTH
@@ -243,22 +250,25 @@ def test_engines_agree_on_min_h_mask():
         assert np.array_equal(np.asarray(mn, bool), np.asarray(mp, bool))
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_solve_many_matches_single_calls(engine):
-    mod = ENGINES[engine]
+    """Also checks `min_norm_point`'s second-node shortcut, which the batch
+    does not take, against the search."""
     gen = seeded("batch")
     families = [random_rows(3, 6, gen, lo=0.5, hi=1.5), *REDUNDANT_FAMILIES.values()]
+    shortcuts = 0
     for V, S in families:
         X = gen.normal(size=(25, V.shape[1])) * 2.5
-        Y, D, ND, ST = mod.solve_many(V, S, X)
+        Y, D, ND, ST = _kernel.solve_many(V, S, X)
         assert (ST == _kernel.FOUND).any()
         for i, x in enumerate(X):
-            y, nodes, status = mod.min_norm_point(V, S, x)
+            y, nodes, status = _kernel.min_norm_point(V, S, x)
+            shortcuts += pure._second_node(V, S, x, 1e-9, 1e-10) is not None
             assert ST[i] == status
             assert ND[i] == nodes
             if status == _kernel.FOUND:
                 assert np.array_equal(Y[i], y)
                 assert abs(D[i] - np.linalg.norm(y - x)) < 1e-12
+    assert shortcuts >= 10
 
 
 @pytest.mark.parametrize(
@@ -276,21 +286,21 @@ def test_pure_batch_runs_root_mask_lps_once(monkeypatch, family):
     """The root redundancy mask is query-independent: a batch of 50
     exterior queries runs exactly the strict-margin LPs of a batch of 1."""
     (V, S), base, sign = family
-    pure = ENGINES["python"]
+    use_engine(monkeypatch, "python")  # its min_h_mask runs the LPs it counts
     gen = seeded("root-mask")
     X = np.asarray(base) + gen.uniform(0.5, 3.0, size=(50, 2)) * np.asarray(sign)
-    real = pure.strict_margin
+    real = _kernel.strict_margin
     calls = []
 
     def counted(A, b):
         calls.append(A.shape)
         return real(A, b)
 
-    monkeypatch.setattr(pure, "strict_margin", counted)
+    monkeypatch.setattr(_kernel, "strict_margin", counted)
 
     def lp_count(batch):
         calls.clear()
-        _, _, _, status = pure.solve_many(V, S, batch)
+        _, _, _, status = _kernel.solve_many(V, S, batch)
         assert (status == _kernel.FOUND).all()
         return len(calls)
 

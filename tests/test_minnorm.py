@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import exterior_query, pentad, random_polyhedron, seeded, solve_checked, square
+from helpers import exterior_query, pentad, random_polyhedron, seeded, solve_checked, square, use_engine
 from polyx import _kernel, classify, errors, geom, minnorm
 
 ENGINES = _kernel.engines()
@@ -185,22 +185,13 @@ def test_planar_solution_lies_on_a_max_distance_face():
     assert checked == 40
 
 
-def test_batch_matches_scalar_and_threads_do_not_change_values():
+def test_batch_matches_scalar():
     gen = seeded("batch-threads")
     P = random_polyhedron(3, 6, gen)
     X = gen.normal(size=(300, 3)) * 2
-    base = minnorm.signed_distances(P, X, threads=1)
-    multi = minnorm.signed_distances(P, X, threads=4)
-    assert np.array_equal(base, multi)
+    base = minnorm.signed_distances(P, X)
     for i in range(0, 300, 37):
         assert base[i] == pytest.approx(minnorm.signed_distance(P, X[i]), abs=1e-12)
-
-
-def test_threads_env_must_be_integer(monkeypatch):
-    monkeypatch.setenv("POLYX_THREADS", "many")
-    P = square()
-    with pytest.raises(errors.InputError):
-        minnorm.signed_distances(P, np.full((80, 2), 3.0), threads=2)
 
 
 def test_batch_rejects_bad_shapes():
@@ -209,12 +200,6 @@ def test_batch_rejects_bad_shapes():
 
 
 # --- the first-projection pass of signed_distances ---------------------------
-
-
-def _use_engine(monkeypatch, name: str) -> None:
-    mod = ENGINES[name]
-    for attr in ("solve_many", "min_norm_point", "min_h_mask", "feasible"):
-        monkeypatch.setattr(_kernel, attr, getattr(mod, attr))
 
 
 def _record_searched(monkeypatch) -> list:
@@ -269,7 +254,7 @@ def _pass_cases():
 @pytest.mark.parametrize("case", range(len(_pass_cases())))
 def test_first_projection_pass_matches_the_search(monkeypatch, engine, case):
     label, P, X, searched = _pass_cases()[case]
-    _use_engine(monkeypatch, engine)
+    use_engine(monkeypatch, engine)
     seen = _record_searched(monkeypatch)
     got = minnorm.signed_distances(P, X)
     want = np.array([minnorm.solve(P, x).signed_distance for x in X])
@@ -316,7 +301,7 @@ def test_search_receives_exactly_the_rows_left_over(monkeypatch):
 @pytest.mark.parametrize("node_limit", [0, 1])
 def test_batch_node_budget_below_two_raises_on_exterior_rows(monkeypatch, engine, node_limit):
     # every exterior row here is settled by the first projection at 2 nodes
-    _use_engine(monkeypatch, engine)
+    use_engine(monkeypatch, engine)
     with pytest.raises(errors.BudgetExceededError):
         minnorm.signed_distances(square(), np.array(_FACE_QUERIES), node_limit=node_limit)
     inside = np.array([[0.5, 0.5], [0.2, 0.9]])
@@ -325,7 +310,7 @@ def test_batch_node_budget_below_two_raises_on_exterior_rows(monkeypatch, engine
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_batch_node_budget_of_two_settles_first_projections_only(monkeypatch, engine):
-    _use_engine(monkeypatch, engine)
+    use_engine(monkeypatch, engine)
     got = minnorm.signed_distances(square(), np.array(_FACE_QUERIES), node_limit=2)
     assert np.allclose(got, [2.0, 2.0, 2.0, 4.0, -0.5])
     with pytest.raises(errors.BudgetExceededError):
