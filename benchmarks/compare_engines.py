@@ -22,7 +22,7 @@ every class polyhedron of the CLI's k-means and gmm-svm fits against all
 pixels, on the six cubes of the first two samson-kmeans-prob and
 cube-svm-prob passes.
 Each row gives the best of 3 times and the share of exterior rows that the
-first-projection pass leaves to the kernel's search.
+first-projection pass of `solve_many` leaves to the search (`pure._search`).
 
     python benchmarks/compare_engines.py
     python benchmarks/compare_engines.py --mode n-eq-k --k 4..14 --reps 30
@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from polyx import _kernel, bench, cli, minnorm, rng
+from polyx._kernel import pure
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  the benchmark's cube generator
@@ -175,14 +176,14 @@ def time_distances(impl, batches) -> tuple[float, int, list]:
     `impl`'s primitives, the rows one pass hands to the search, and the
     distances."""
     searched = 0
-    search = _kernel.solve_many
+    search = pure._search
 
-    def counted(V, S, X, **kwargs):
+    def counted(*args):
         nonlocal searched
-        searched += len(X)
-        return search(V, S, X, **kwargs)
+        searched += 1
+        return search(*args)
 
-    _kernel.solve_many = counted
+    pure._search = counted
     try:
         with primitives(impl):
             seconds = []
@@ -192,7 +193,7 @@ def time_distances(impl, batches) -> tuple[float, int, list]:
                 dists = [minnorm.signed_distances(P, X) for P, X in batches]
                 seconds.append(time.perf_counter() - t0)
     finally:
-        _kernel.solve_many = search
+        pure._search = search
     return min(seconds), searched, dists
 
 

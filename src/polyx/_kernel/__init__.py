@@ -2,6 +2,9 @@
 present, from pure NumPy otherwise. The one search (`min_norm_point`,
 `solve_many`, in ``pure``) calls its LPs through this module, so it runs on
 whichever primitives are bound here; ``native``'s own search is unused.
+`solve_many` settles the rows whose first projection lands in the
+polyhedron in one vectorized pass before any search, and `min_norm_point`
+is `solve_many` on one row.
 
 ``POLYX_PURE=1`` in the environment forces the pure primitives even when
 the compiled module imported fine; useful for debugging and for the engine

@@ -5,7 +5,9 @@ The LP and SVM primitives here are the import-time fallback for the compiled
 ones in ``native.pyx``; both implement identical semantics and tolerances.
 The search (`min_norm_point`, `solve_many`) serves both engines: it calls
 `strict_margin` and `min_h_mask` through the package, which binds them to
-whichever primitives are active.
+whichever primitives are active. `solve_many` settles the rows the search
+would stop for at its second node in one vectorized pass, and
+`min_norm_point` is `solve_many` on one row.
 
 Status codes returned by ``min_norm_point``:
     0  found (query outside, exact point returned)
@@ -202,51 +204,56 @@ def min_norm_point(
     """Exact nearest point of the polyhedron {z : V z <= S} from x.
 
     Returns (y, nodes, status). V rows must be unit norm. With status FOUND,
-    y is the unique nearest point; with INSIDE, y is x itself. The search
+    y is the unique nearest point; with INSIDE, y equals x. The search
     projects onto descending-signed-distance hyperplanes recursively,
     certifying candidate points with the strict-system optimality criterion.
     Redundant halfspaces are masked out of every family it branches on, the
-    root one included. A query the search would settle at its second node
-    skips it (`_second_node`).
+    root one included. This is `solve_many` on the one row x.
     """
-    V = np.ascontiguousarray(V, dtype=np.float64)
-    S = np.ascontiguousarray(S, dtype=np.float64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if node_limit >= 2 and (time_budget is None or time_budget > 0):
-        foot = _second_node(V, S, x, eps, eps_dep)
-        if foot is not None:
-            return foot, 2, FOUND
-    return _search(V, S, x, [None], eps, eps_dep, strict_tol, node_limit, time_budget)
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    Y, _, nodes, status = solve_many(V, S, X, eps, eps_dep, strict_tol,
+                                     node_limit, time_budget)
+    return Y[0], int(nodes[0]), int(status[0])
 
 
-def _second_node(V, S, x, eps, eps_dep):
-    """The search's answer when it provably stops at its second node, else None.
+def _first_projection(V, S, X, eps, eps_dep):
+    """Rows of X whose foot on their most violated hyperplane lies in P.
 
-    The search first pivots on the kept row of largest normalized margin
-    (lowest index on ties) and stops at its foot if the foot lies in P. This
-    takes the same foot when that row is certified kept without an LP, as in
-    `_necessity_mask`, by a margin that round-off in the mask cannot undo.
+    Returns (settled mask, feet, normalized margins d); feet and d are
+    meaningful where settled, and |foot - x| equals d up to round-off.
+    P lies inside each of its halfspaces, so a foot on hyperplane c that lies
+    in P is the nearest point of P: it is already the nearest point of
+    halfspace c. Only the face of largest normalized margin (lowest index on
+    ties) can have such a foot. The pass uses the search's depth-0
+    arithmetic, guards and `eps`, so where the search pivots on that face
+    first it stops at this foot, its second node. Where that face is
+    redundant the search skips it and reaches the same point by a longer
+    path; this pass reports 2 nodes for it either way.
     """
-    margins = V @ x - S
-    if margins.max() <= eps:
-        return None
-    wn = np.sqrt(np.add.reduce(V * V, axis=1))  # the search's depth-0 wn
-    dist = margins / wn
-    c = int(dist.argmax())
-    if not (wn[c] > eps_dep and dist[c] > eps):
-        return None
-    foot = x - dist[c] * (V[c] / wn[c])
-    if (V @ foot - S).max() > eps:
-        return None
-    g = V @ (S[c] * V[c]) - S
-    g[c] = -np.inf
-    if g.max() >= -1e-9 - 1e-12 * (1.0 + np.abs(S).max()):
-        return None
-    return foot
+    M = X @ V.T
+    M -= S
+    outside = np.maximum.reduce(M, 1) > eps
+    wn = np.sqrt(np.add.reduce(V * V, 1))  # the search's depth-0 wn
+    M /= wn
+    c = M.argmax(1)
+    d = np.maximum.reduce(M, 1)
+    wc = wn[c]
+    # one rows x dim array: u, then d u, then the foot x - d u
+    F = V[c]
+    F /= wc[:, None]
+    F *= d[:, None]
+    np.subtract(X, F, out=F)
+    G = F @ V.T
+    G -= S
+    settled = np.maximum.reduce(G, 1) <= eps
+    settled &= outside
+    settled &= d > eps
+    settled &= wc > eps_dep
+    return settled, F, d
 
 
 def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
-    """min_norm_point on contiguous arrays, sharing the root mask in root[0].
+    """The search for one row of `solve_many`, sharing the root mask in root[0].
 
     At depth 0 the reduced family is (V, S) itself, so its redundancy mask
     does not depend on x. It is computed at the first depth-0 expansion
@@ -337,19 +344,25 @@ def solve_many(V, S, X, eps=1e-9, eps_dep=1e-10, strict_tol=1e-9,
                node_limit=10_000_000, time_budget=None):
     """Vector/batch driver over rows of X. Returns (Y, dist, nodes, status).
 
-    The time budget, when given, applies per solve. The root redundancy mask
-    is computed once, at the first exterior row, and reused for the rest.
+    One vectorized pass first settles, at 2 nodes, every exterior row whose
+    foot on its most violated hyperplane lies in P (`_first_projection`),
+    when the node limit is at least 2 and the time budget not 0. Only the
+    rows left over run the search. The time budget, when given, applies per
+    solve. The root redundancy mask is computed once, at the first searched
+    row, and reused for the rest.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
-    m = X.shape[0]
-    Y = np.empty_like(X)
-    dist = np.empty(m)
-    nodes = np.empty(m, dtype=np.int64)
-    status = np.empty(m, dtype=np.int64)
     Vc = np.ascontiguousarray(V, dtype=np.float64)
     Sc = np.ascontiguousarray(S, dtype=np.float64)
+    m = X.shape[0]
+    if node_limit >= 2 and (time_budget is None or time_budget > 0):
+        settled, Y, dist = _first_projection(Vc, Sc, X, eps, eps_dep)
+    else:
+        settled, Y, dist = np.zeros(m, dtype=bool), np.empty_like(X), np.empty(m)
+    nodes = np.where(settled, 2, 0)
+    status = np.zeros(m, np.int64)  # FOUND
     root = [None]
-    for i in range(m):
+    for i in (~settled).nonzero()[0].tolist():
         y, nd, st = _search(Vc, Sc, X[i], root, eps, eps_dep, strict_tol,
                             node_limit, time_budget)
         Y[i] = y

@@ -333,12 +333,9 @@ def _cmd_unmix(args) -> int:
         timings["fit"] = time.perf_counter() - t0
         endmembers = None
         if args.mode == "abundance":
-            t0 = time.perf_counter()
-            endmembers = unmix.extract_endmembers(img, partition)
-            timings["distance"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            values = unmix.abundances_from_endmembers(img, endmembers, clip=args.clip_abundances)
-            timings["abundance"] = time.perf_counter() - t0
+            endmembers, values = unmix.abundance_pipeline(
+                img, partition, clip=args.clip_abundances, timings=timings
+            )
         else:
             values = unmix.probability_pipeline(
                 img, partition, alpha=args.alpha, use_basis_change=args.basis_change, timings=timings

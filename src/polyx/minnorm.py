@@ -4,9 +4,11 @@ The solver projects the query onto intersections of boundary hyperplanes,
 recursing through reduced constraint families until a candidate passes the
 global optimality test (a strict linear system that is infeasible exactly at
 the nearest point). The search, with its projections and family reductions,
-lives in the kernel, which runs it on the active engine's LP primitives;
-this module holds the public result type, the optimality test, and the
-single and batch entry points.
+lives in the kernel, which runs it on the active engine's LP primitives
+and settles the queries it would stop for at its second node (the foot on
+the most violated hyperplane, when that foot lies in P) without it. This
+module holds the public result type, the optimality test, and the single
+and batch entry points.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernel, errors, geom, lpfeas
+from . import _kernel, errors, geom
+
+#: a system counts as strictly feasible when the optimal slack exceeds this
+STRICT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +49,7 @@ def is_min_norm(x, y, P: geom.PolyhedronH, tol: float = geom.DEFAULT_TOL) -> boo
     v = v / nv
     rows = np.vstack([V, v[None, :]])
     rhs = np.concatenate([S, [float(y @ v)]])
-    return not lpfeas.strict_feasible(lpfeas.LinearSystem(rows, rhs))
+    return _kernel.strict_margin(rows, rhs) <= STRICT_TOL
 
 
 def _raise_for_status(status: int, nodes: int, V, S) -> None:
@@ -107,33 +112,6 @@ def _check_batch(status, node_limit: int, V, S) -> None:
         _raise_for_status(int(bad[0]), node_limit, V, S)
 
 
-def _first_projection(V, S, pts, margins, eps: float = 1e-9):
-    """Rows of `pts` whose foot on their most violated hyperplane lies in P.
-
-    Returns (settled mask, |foot - x| per row; meaningful where settled).
-    P lies inside each of its halfspaces, so a foot on hyperplane c that
-    lies in P is the nearest point of P: it is already the nearest point of
-    halfspace c. Only the face of largest normalized margin can have such a
-    foot. The foot uses the search's depth-0 arithmetic (u = V_c / |V_c|,
-    d = m_c / |V_c|, foot = x - d u) and its `eps`. When that face is
-    irredundant the search pivots on it first and stops at this foot, its
-    second node; when it is redundant the foot is still the unique nearest
-    point, which the search reaches by a longer path.
-    """
-    wn = np.linalg.norm(V, axis=1)
-    scaled = margins / wn
-    c = scaled.argmax(axis=1)
-    d = scaled[np.arange(c.size), c]
-    # one rows x dim temporary: u, then -d u, then the foot, then foot - x
-    F = V[c]
-    F /= wn[c][:, None]
-    F *= -d[:, None]
-    F += pts
-    settled = (F @ V.T - S).max(axis=1) <= eps
-    F -= pts
-    return settled, np.sqrt(np.einsum("ij,ij->i", F, F))
-
-
 def signed_distances(
     P: geom.PolyhedronH,
     X,
@@ -141,15 +119,11 @@ def signed_distances(
 ) -> np.ndarray:
     """Signed distance of every row of X to P.
 
-    Rows fall in three regimes, each settled in bulk where it can be:
-
-    - inside: one vectorized max-margin pass over the minimum description;
-    - settled by the first projection: an exterior row whose foot on its most
-      violated hyperplane lies in P is at distance |foot - x|, found in one
-      vectorized pass over the margins (see `_first_projection`); this is
-      the search's second node, so it runs only when `node_limit` >= 2;
-    - searched: the rows left over go to the kernel's exact recursive search,
-      in one batch that shares the root redundancy mask.
+    Inside rows are settled in one vectorized max-margin pass over the
+    minimum description. Every exterior row then goes to the kernel in one
+    `solve_many` batch, which settles the rows whose foot on their most
+    violated hyperplane lies in P in one vectorized pass and searches the
+    rest, sharing the root redundancy mask.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != P.dim:
@@ -158,8 +132,7 @@ def signed_distances(
         raise errors.InputError("X contains non-finite values")
     V, S = P.matrix()
     out = np.empty(X.shape[0])
-    m = X @ V.T - S
-    worst = m.max(axis=1)
+    worst = (X @ V.T - S).max(axis=1)
     inside = worst <= 1e-9
     if inside.any():
         Q = geom.min_h_description(P)
@@ -169,13 +142,8 @@ def signed_distances(
         else:
             out[inside] = worst[inside]
     todo = np.flatnonzero(~inside)
-    pts = X[todo]
-    if todo.size and node_limit >= 2:
-        settled, dist = _first_projection(V, S, pts, m[todo])
-        out[todo[settled]] = dist[settled]
-        todo, pts = todo[~settled], pts[~settled]
     if todo.size:
-        _, dist, _, status = _kernel.solve_many(V, S, pts, node_limit=node_limit)
+        _, dist, _, status = _kernel.solve_many(V, S, X[todo], node_limit=node_limit)
         _check_batch(status, node_limit, V, S)
         out[todo] = dist
     return out

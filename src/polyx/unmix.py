@@ -151,6 +151,27 @@ def probability_pipeline(
     return dm
 
 
+def abundance_pipeline(
+    img: SpectralImage,
+    partition: classify.PartitionModel,
+    clip: bool = False,
+    timings: dict[str, float] | None = None,
+) -> tuple[EndmemberSet, np.ndarray]:
+    """Deepest pixel per class -> least-squares abundances against them.
+
+    Returns (endmembers, abundances). With `timings`, the seconds of the two
+    stages are written into it: the endmember extraction under "distance",
+    the least squares under "abundance".
+    """
+    t0 = time.perf_counter()
+    endmembers = extract_endmembers(img, partition)
+    t1 = time.perf_counter()
+    values = abundances_from_endmembers(img, endmembers, clip=clip)
+    if timings is not None:
+        timings.update(distance=t1 - t0, abundance=time.perf_counter() - t1)
+    return endmembers, values
+
+
 def rmse(est, truth, permute: bool = False) -> tuple[float, tuple[int, ...]]:
     """Root mean squared error over all pixels and classes.
 

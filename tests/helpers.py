@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from polyx import _kernel, geom, lpfeas, minnorm
+from polyx import _kernel, geom, minnorm
 from polyx.rng import stream
 
 
@@ -40,7 +40,7 @@ def random_polyhedron(n: int, k: int, gen: np.random.Generator) -> geom.Polyhedr
     """Non-empty random polyhedron; offsets straddle 0 so faces can cut the origin."""
     while True:
         V, S = random_rows(n, k, gen)
-        if lpfeas.feasible(lpfeas.LinearSystem(V, S)):
+        if _kernel.feasible(V, S):
             return geom.PolyhedronH.from_rows(list(zip(S, V)))
 
 

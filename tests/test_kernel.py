@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import pentad, random_rows, seeded, use_engine
-from polyx import _kernel
+from polyx import _kernel, minnorm
 from polyx._kernel import pure
 
 ENGINES = _kernel.engines()
@@ -89,14 +89,20 @@ def test_time_budget_zero_trips_immediately(engine):
 
 def test_second_node_shortcut_skips_a_weakly_redundant_row(engine):
     # the pentad's most violated row at (3, 3) is the redundant x1 + x2 <= 2,
-    # whose foot (1, 1) lies in P: the search never pivots on it
-    V, S = pentad().matrix()
+    # whose foot (1, 1) lies in P: the search never pivots on it, and reaches
+    # (1, 1) by a longer path; the first projection settles it at node 2
+    P = pentad()
+    V, S = P.matrix()
     x = np.array([3.0, 3.0])
-    assert pure._second_node(V, S, x, 1e-9, 1e-10) is None
     y, nodes, status = _kernel.min_norm_point(V, S, x)
+    Y, D, ND, ST = _kernel.solve_many(V, S, x[None, :])
+    assert (nodes, status) == (2, _kernel.FOUND) == (ND[0], ST[0])
+    assert np.allclose(y, [1.0, 1.0], rtol=0, atol=1e-12) and np.array_equal(Y[0], y)
+    assert D[0] == pytest.approx(np.sqrt(8.0), abs=1e-12)
+    assert minnorm.is_min_norm(x, y, P)
     want = pure._search(V, S, x, [None], 1e-9, 1e-10, 1e-9, 10_000_000, None)
-    assert (nodes, status) == want[1:] and nodes > 2
-    assert np.array_equal(y, want[0])
+    assert want[2] == _kernel.FOUND and want[1] > 2
+    assert np.allclose(want[0], y, atol=1e-12)
 
 
 @BOTH
@@ -251,8 +257,12 @@ def test_engines_agree_on_min_h_mask():
 
 
 def test_solve_many_matches_single_calls(engine):
-    """Also checks `min_norm_point`'s second-node shortcut, which the batch
-    does not take, against the search."""
+    """Rows the search settles agree bit for bit. Rows the first projection
+    settles (2 nodes) agree to round-off: a batch takes its margins from one
+    matrix product, a single row from a matrix-vector product, and BLAS sums
+    the two in different orders. Also checks that shortcut against the
+    search: the same point, bit for bit where the search stops at its
+    second node too, and never more nodes."""
     gen = seeded("batch")
     families = [random_rows(3, 6, gen, lo=0.5, hi=1.5), *REDUNDANT_FAMILIES.values()]
     shortcuts = 0
@@ -262,33 +272,43 @@ def test_solve_many_matches_single_calls(engine):
         assert (ST == _kernel.FOUND).any()
         for i, x in enumerate(X):
             y, nodes, status = _kernel.min_norm_point(V, S, x)
-            shortcuts += pure._second_node(V, S, x, 1e-9, 1e-10) is not None
             assert ST[i] == status
             assert ND[i] == nodes
             if status == _kernel.FOUND:
-                assert np.array_equal(Y[i], y)
                 assert abs(D[i] - np.linalg.norm(y - x)) < 1e-12
+            if nodes != 2:
+                assert np.array_equal(Y[i], y)
+                continue
+            assert np.allclose(Y[i], y, rtol=0, atol=1e-12)
+            shortcuts += 1
+            want, want_nodes, want_status = pure._search(
+                V, S, x, [None], 1e-9, 1e-10, 1e-9, 10_000_000, None)
+            assert want_status == status and want_nodes >= 2
+            assert np.allclose(want, y, atol=1e-12)
+            if want_nodes == 2:
+                assert np.array_equal(want, y)
     assert shortcuts >= 10
 
 
 @pytest.mark.parametrize(
     "family",
     [
-        # quadrant x1 <= 0, x2 <= 0 from below the x1 axis: the foot on the
-        # unviolated row x2 <= 0 lies outside x1 <= 0
-        (_unit([(0, [1, 0]), (0, [0, 1])]), [0.0, 0.0], [1.0, -1.0]),
-        # a duplicated row: each foot lies on the other copy's boundary
-        (_unit([(1, [1, 0]), (1, [1, 0])]), [1.0, 0.0], [1.0, 0.0]),
+        # quadrant x1 <= 0, x2 <= 0: from x1, x2 > 0 the foot on either row
+        # lies outside the other, so every query reaches the search
+        _unit([(0, [1, 0]), (0, [0, 1])]),
+        # the same with row x1 <= 0 twice: the mask keeps its lowest-index copy
+        _unit([(0, [1, 0]), (0, [1, 0]), (0, [0, 1])]),
     ],
     ids=["quadrant", "duplicate"],
 )
 def test_pure_batch_runs_root_mask_lps_once(monkeypatch, family):
     """The root redundancy mask is query-independent: a batch of 50
-    exterior queries runs exactly the strict-margin LPs of a batch of 1."""
-    (V, S), base, sign = family
+    corner queries runs the strict-margin LPs of its 50 single-row batches,
+    less 49 runs of the root mask's."""
+    V, S = family
     use_engine(monkeypatch, "python")  # its min_h_mask runs the LPs it counts
     gen = seeded("root-mask")
-    X = np.asarray(base) + gen.uniform(0.5, 3.0, size=(50, 2)) * np.asarray(sign)
+    X = gen.uniform(0.5, 3.0, size=(50, 2))
     real = _kernel.strict_margin
     calls = []
 
@@ -300,13 +320,16 @@ def test_pure_batch_runs_root_mask_lps_once(monkeypatch, family):
 
     def lp_count(batch):
         calls.clear()
-        _, _, _, status = _kernel.solve_many(V, S, batch)
-        assert (status == _kernel.FOUND).all()
+        _, _, nodes, status = _kernel.solve_many(V, S, batch)
+        assert (status == _kernel.FOUND).all() and (nodes > 2).all()
         return len(calls)
 
-    one = lp_count(X[:1])
-    assert one >= 1  # the feet do not certify, so LPs decide the mask
-    assert lp_count(X) == one
+    calls.clear()
+    _kernel.min_h_mask(V, S)
+    mask = len(calls)
+    assert mask >= 1  # the feet do not certify, so LPs decide the mask
+    singles = sum(lp_count(X[i : i + 1]) for i in range(len(X)))
+    assert lp_count(X) == singles - (len(X) - 1) * mask
 
 
 KERNEL_DIR = Path(_kernel.__file__).parent

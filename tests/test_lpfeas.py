@@ -1,40 +1,48 @@
-"""Feasibility deciders against constructed cases and a grid-search oracle."""
+"""The LP feasibility primitives, `_kernel.feasible` and `_kernel.strict_margin`,
+against constructed cases and a grid-search oracle."""
 
 import numpy as np
-import pytest
 
 from helpers import seeded
-from polyx import errors, lpfeas
+from polyx import _kernel, minnorm
 
 
-def sys_of(rows, rhs) -> lpfeas.LinearSystem:
-    return lpfeas.LinearSystem(np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float))
+def feasible(rows, rhs) -> bool:
+    """Whether rows . x <= rhs admits a solution (x free in sign)."""
+    return bool(_kernel.feasible(np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float)))
+
+
+def strict_feasible(rows, rhs) -> bool:
+    """Whether rows . x < rhs admits a solution: the optimal slack of
+    `strict_margin` exceeds the tolerance the optimality test uses."""
+    margin = _kernel.strict_margin(np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float))
+    return margin > minnorm.STRICT_TOL
 
 
 def test_interval_is_feasible():
-    assert lpfeas.feasible(sys_of([[1.0], [-1.0]], [1.0, 0.0]))
+    assert feasible([[1.0], [-1.0]], [1.0, 0.0])
 
 
 def test_empty_interval_is_infeasible():
-    assert not lpfeas.feasible(sys_of([[1.0], [-1.0]], [0.0, -1.0]))
+    assert not feasible([[1.0], [-1.0]], [0.0, -1.0])
 
 
 def test_simplex_is_feasible():
-    assert lpfeas.feasible(sys_of([[1, 1], [-1, 0], [0, -1]], [1, 0, 0]))
+    assert feasible([[1, 1], [-1, 0], [0, -1]], [1, 0, 0])
 
 
 def test_strict_single_halfspace():
-    assert lpfeas.strict_feasible(sys_of([[1.0]], [1.0]))
+    assert strict_feasible([[1.0]], [1.0])
 
 
 def test_strict_fails_on_single_point():
     # x < 0 and -x < 0 admit only x = 0, and only non-strictly.
-    assert not lpfeas.strict_feasible(sys_of([[1.0], [-1.0]], [0.0, 0.0]))
-    assert lpfeas.feasible(sys_of([[1.0], [-1.0]], [0.0, 0.0]))
+    assert not strict_feasible([[1.0], [-1.0]], [0.0, 0.0])
+    assert feasible([[1.0], [-1.0]], [0.0, 0.0])
 
 
 def test_strict_fails_on_boundary_only_intersection():
-    assert not lpfeas.strict_feasible(sys_of([[1.0], [-1.0]], [1.0, -1.0]))
+    assert not strict_feasible([[1.0], [-1.0]], [1.0, -1.0])
 
 
 def test_strict_implies_feasible():
@@ -43,9 +51,8 @@ def test_strict_implies_feasible():
         m = int(gen.integers(1, 6))
         rows = gen.normal(size=(m, 2))
         rhs = gen.uniform(-1, 1, size=m)
-        s = sys_of(rows, rhs)
-        if lpfeas.strict_feasible(s):
-            assert lpfeas.feasible(s)
+        if strict_feasible(rows, rhs):
+            assert feasible(rows, rhs)
 
 
 def test_positive_row_scaling_is_irrelevant():
@@ -55,19 +62,10 @@ def test_positive_row_scaling_is_irrelevant():
         rows = gen.normal(size=(m, 3))
         rhs = gen.uniform(-1, 1, size=m)
         scale = gen.uniform(0.01, 100.0, size=m)
-        a = sys_of(rows, rhs)
-        b = sys_of(rows * scale[:, None], rhs * scale)
-        assert lpfeas.feasible(a) == lpfeas.feasible(b)
-        assert lpfeas.strict_feasible(a) == lpfeas.strict_feasible(b)
-
-
-def test_rejects_bad_shapes():
-    with pytest.raises(errors.InputError):
-        lpfeas.LinearSystem(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(errors.InputError):
-        lpfeas.LinearSystem(np.zeros((2, 2)), np.zeros(3))
-    with pytest.raises(errors.InputError):
-        lpfeas.LinearSystem(np.array([[np.inf, 0.0]]), np.zeros(1))
+        a = (rows, rhs)
+        b = (rows * scale[:, None], rhs * scale)
+        assert feasible(*a) == feasible(*b)
+        assert strict_feasible(*a) == strict_feasible(*b)
 
 
 def test_grid_oracle_agreement():
@@ -95,14 +93,13 @@ def test_grid_oracle_agreement():
         for (a1, a2), b in zip(rows, rhs):
             np.maximum(g, np.float32(a1) * X + np.float32(a2) * Y - np.float32(b), out=g)
         gmin = float(g.min())
-        s = sys_of(rows, rhs)
         if gmin < -1e-2:
             strict_hits += 1
-            assert lpfeas.strict_feasible(s), (trial, gmin)
-            assert lpfeas.feasible(s), (trial, gmin)
+            assert strict_feasible(rows, rhs), (trial, gmin)
+            assert feasible(rows, rhs), (trial, gmin)
         elif gmin > 1e-2:
             infeasible_hits += 1
-            boxed = sys_of(np.vstack([rows, box_rows]), np.concatenate([rhs, box_rhs]))
-            assert not lpfeas.feasible(boxed), (trial, gmin)
-            assert not lpfeas.strict_feasible(boxed), (trial, gmin)
+            boxed = (np.vstack([rows, box_rows]), np.concatenate([rhs, box_rhs]))
+            assert not feasible(*boxed), (trial, gmin)
+            assert not strict_feasible(*boxed), (trial, gmin)
     assert strict_hits >= 20 and infeasible_hits >= 20, (strict_hits, infeasible_hits)

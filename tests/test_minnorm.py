@@ -5,6 +5,7 @@ import pytest
 
 from helpers import exterior_query, pentad, random_polyhedron, seeded, solve_checked, square, use_engine
 from polyx import _kernel, classify, errors, geom, minnorm
+from polyx._kernel import pure
 
 ENGINES = _kernel.engines()
 
@@ -199,19 +200,19 @@ def test_batch_rejects_bad_shapes():
         minnorm.signed_distances(square(), np.zeros((4, 3)))
 
 
-# --- the first-projection pass of signed_distances ---------------------------
+# --- the first-projection pass of the batch solver --------------------------
 
 
 def _record_searched(monkeypatch) -> list:
-    """Wrap _kernel.solve_many; the list receives every batch handed to it."""
+    """Wrap the kernel's search; the list receives every query handed to it."""
     seen = []
-    search = _kernel.solve_many
+    search = pure._search
 
-    def recorded(V, S, X, **kwargs):
-        seen.append(np.array(X))
-        return search(V, S, X, **kwargs)
+    def recorded(V, S, x, *args):
+        seen.append(np.array(x))
+        return search(V, S, x, *args)
 
-    monkeypatch.setattr(_kernel, "solve_many", recorded)
+    monkeypatch.setattr(pure, "_search", recorded)
     return seen
 
 
@@ -257,11 +258,11 @@ def test_first_projection_pass_matches_the_search(monkeypatch, engine, case):
     use_engine(monkeypatch, engine)
     seen = _record_searched(monkeypatch)
     got = minnorm.signed_distances(P, X)
+    rows = len(seen)
     want = np.array([minnorm.solve(P, x).signed_distance for x in X])
     assert np.abs(got - want).max() <= 1e-12, label
     V, S = P.matrix()
     exterior = int(((X @ V.T - S).max(axis=1) > 1e-9).sum())
-    rows = sum(len(b) for b in seen)
     assert exterior > 0, label
     expected = {"none": rows == 0, "some": 0 < rows < exterior, "all": rows == exterior}
     assert expected[searched], (label, rows, exterior)
@@ -294,7 +295,26 @@ def test_search_receives_exactly_the_rows_left_over(monkeypatch):
         seen = _record_searched(monkeypatch)
         minnorm.signed_distances(P, X)
         monkeypatch.undo()
-        assert len(seen) == 1 and np.array_equal(seen[0], left)
+        assert np.array_equal(np.array(seen), left)
+
+
+def test_solve_many_gets_every_exterior_row_in_one_call(monkeypatch):
+    # inside rows, face rows the first projection settles, corner rows it does not
+    P = square()
+    X = seeded("exterior-batch").uniform(-1.5, 2.5, size=(200, 2))
+    V, S = P.matrix()
+    exterior = (X @ V.T - S).max(axis=1) > 1e-9
+    assert 0 < exterior.sum() < len(X)
+    batches = []
+    solve_many = _kernel.solve_many
+
+    def recorded(V, S, X, **kwargs):
+        batches.append(np.array(X))
+        return solve_many(V, S, X, **kwargs)
+
+    monkeypatch.setattr(_kernel, "solve_many", recorded)
+    minnorm.signed_distances(P, X)
+    assert len(batches) == 1 and np.array_equal(batches[0], X[exterior])
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

@@ -166,6 +166,28 @@ def test_pipeline_basis_change_flag():
     assert np.abs(dm.values.sum(axis=1) - 1.0).max() <= 1e-9
 
 
+def test_abundance_pipeline_chains_the_two_stages(monkeypatch):
+    gen = seeded("unmix-abundance-pipeline")
+    data = gen.uniform(-4, 4, size=(300, 3))
+    img = unmix.SpectralImage(300, 1, 3, data)
+    part = classify.voronoi_partition(classify.kmeans_fit(data, K=3, seed=8))
+    timings = {}
+    ems, A = unmix.abundance_pipeline(img, part, clip=True, timings=timings)
+    want = unmix.extract_endmembers(img, part)
+    assert ems.source_pixel == want.source_pixel
+    assert np.array_equal(A, unmix.abundances_from_endmembers(img, want, clip=True))
+    assert set(timings) == {"distance", "abundance"}
+    # both stages are looked up as module globals, so a wrapper sees them
+    calls = []
+    for name in ("extract_endmembers", "abundances_from_endmembers"):
+        real = getattr(unmix, name)
+        monkeypatch.setattr(
+            unmix, name, lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k)
+        )
+    unmix.abundance_pipeline(img, part)
+    assert calls == ["extract_endmembers", "abundances_from_endmembers"]
+
+
 def test_class_signed_distances_shape_guard():
     img = image_1d([0.0, 1.0])
     km = classify.KMeansModel(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.0, 0)
