@@ -21,8 +21,12 @@ primitives over the batches `polyx unmix --mode probability` hands it:
 every class polyhedron of the CLI's k-means and gmm-svm fits against all
 pixels, on the six cubes of the first two samson-kmeans-prob and
 cube-svm-prob passes.
-Each row gives the best of 3 times and the share of exterior rows that the
-first-projection pass of `solve_many` leaves to the search (`pure._search`).
+Each row gives the best of 3 times, the share of exterior rows that the
+first-projection pass of `solve_many` leaves to the search (`pure._search`),
+and the LP primitive calls per batch (`feasible`, `strict_margin` and
+`min_h_mask` through `polyx._kernel`; the pure `min_h_mask` makes its LPs
+through `strict_margin`, so they count too, while a compiled one counts as
+one call).
 
     python benchmarks/compare_engines.py
     python benchmarks/compare_engines.py --mode n-eq-k --k 4..14 --reps 30
@@ -72,8 +76,8 @@ def exterior_batch(V, S, seed: int) -> np.ndarray:
 def primitives(impl):
     """Bind `impl`'s LP and SVM primitives in `_kernel` for the block."""
     saved = {name: getattr(_kernel, name) for name in _kernel.PRIMITIVES}
-    for name in _kernel.PRIMITIVES:
-        setattr(_kernel, name, getattr(impl, name))
+    for name, fn in _kernel.primitives(impl).items():
+        setattr(_kernel, name, fn)
     try:
         yield
     finally:
@@ -171,11 +175,13 @@ def distance_batches(spec: workloads.CubeSpec, seeds) -> list:
     return batches
 
 
-def time_distances(impl, batches) -> tuple[float, int, list]:
+def time_distances(impl, batches) -> tuple[float, int, int, list]:
     """Best-of-3 seconds `signed_distances` takes over all batches on
-    `impl`'s primitives, the rows one pass hands to the search, and the
-    distances."""
-    searched = 0
+    `impl`'s primitives, the rows one pass hands to the search, the LP
+    primitive calls one pass makes through `_kernel` (`_kernel.LPS`; a
+    compiled `min_h_mask` runs its LPs in C and counts as one call), and
+    the distances."""
+    searched = lps = 0
     search = pure._search
 
     def counted(*args):
@@ -183,18 +189,27 @@ def time_distances(impl, batches) -> tuple[float, int, list]:
         searched += 1
         return search(*args)
 
+    def lp(fn):
+        def call(*args):
+            nonlocal lps
+            lps += 1
+            return fn(*args)
+        return call
+
     pure._search = counted
     try:
         with primitives(impl):
+            for name in _kernel.LPS:
+                setattr(_kernel, name, lp(getattr(_kernel, name)))
             seconds = []
             for _ in range(3):
-                searched = 0
+                searched = lps = 0
                 t0 = time.perf_counter()
                 dists = [minnorm.signed_distances(P, X) for P, X in batches]
                 seconds.append(time.perf_counter() - t0)
     finally:
         pure._search = search
-    return min(seconds), searched, dists
+    return min(seconds), searched, lps, dists
 
 
 def run_distances(args) -> None:
@@ -208,10 +223,11 @@ def run_distances(args) -> None:
             exterior += int(((X @ V.T - S).max(axis=1) > 1e-9).sum())
         dists = {}
         for name, impl in engines.items():
-            seconds, searched, dists[name] = time_distances(impl, batches)
+            seconds, searched, lps, dists[name] = time_distances(impl, batches)
             print(f"signed_distances {workload}, {len(batches)} batches of {len(seeds)} cubes,"
                   f" {name}: {seconds:.3f} s, {searched} of {exterior} exterior rows searched"
-                  f" ({searched / max(exterior, 1):.1%})")
+                  f" ({searched / max(exterior, 1):.1%}), {lps / len(batches):.2f} LP calls"
+                  " per batch")
         gap = max(float(np.abs(a - b).max()) for a, b in zip(dists["native"], dists["python"]))
         print(f"signed_distances {workload}: max|d_native - d_python| {gap:.1e}")
 

@@ -4,7 +4,13 @@ present, from pure NumPy otherwise. The one search (`min_norm_point`,
 whichever primitives are bound here; ``native``'s own search is unused.
 `solve_many` settles the rows whose first projection lands in the
 polyhedron in one vectorized pass before any search, and `min_norm_point`
-is `solve_many` on one row.
+is `solve_many` on one row. `independent_rows` is the rank certificate that
+lets callers skip the LPs for a family of linearly independent rows.
+
+A simplex breakdown inside an LP primitive (a ``RuntimeError`` from either
+engine, e.g. on two rows a few nanoradians apart) leaves this module as
+`errors.ConditioningError`: `primitives` wraps the LP primitives once, here,
+for every caller of ``_kernel``.
 
 ``POLYX_PURE=1`` in the environment forces the pure primitives even when
 the compiled module imported fine; useful for debugging and for the engine
@@ -16,9 +22,11 @@ being tried.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 
+from .. import errors
 from . import pure
 
 FOUND = pure.FOUND
@@ -27,6 +35,7 @@ NODE_BUDGET = pure.NODE_BUDGET
 TIME_BUDGET = pure.TIME_BUDGET
 EXHAUSTED = pure.EXHAUSTED
 PRIMITIVES = ("feasible", "strict_margin", "min_h_mask", "svm_pair")
+LPS = ("feasible", "strict_margin", "min_h_mask")  # the primitives that run the simplex
 
 _impl = pure
 ENGINE = "python"
@@ -43,12 +52,34 @@ if not os.environ.get("POLYX_PURE"):
         _impl = _native
         ENGINE = "native"
 
-feasible = _impl.feasible
-strict_margin = _impl.strict_margin
-min_h_mask = _impl.min_h_mask
-svm_pair = _impl.svm_pair
+
+def _typed(lp):
+    """`lp` with a simplex breakdown re-raised as a ConditioningError."""
+
+    @functools.wraps(lp)
+    def call(*args, **kwargs):
+        try:
+            return lp(*args, **kwargs)
+        except RuntimeError as exc:
+            raise errors.ConditioningError(f"LP breakdown: {exc}") from exc
+
+    return call
+
+
+def primitives(impl) -> dict:
+    """`impl`'s primitives by name, as this module binds them."""
+    return {name: _typed(getattr(impl, name)) if name in LPS else getattr(impl, name)
+            for name in PRIMITIVES}
+
+
+_bound = primitives(_impl)
+feasible = _bound["feasible"]
+strict_margin = _bound["strict_margin"]
+min_h_mask = _bound["min_h_mask"]
+svm_pair = _bound["svm_pair"]
 min_norm_point = pure.min_norm_point
 solve_many = pure.solve_many
+independent_rows = pure.independent_rows
 
 
 def describe() -> str:

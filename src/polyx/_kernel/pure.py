@@ -1,5 +1,5 @@
 """Pure NumPy kernel: dense two-phase simplex, minimum-description mask, the
-SVM dual sweep, and the one exact nearest-point search.
+SVM dual sweep, the rank certificate, and the one exact nearest-point search.
 
 The LP and SVM primitives here are the import-time fallback for the compiled
 ones in ``native.pyx``; both implement identical semantics and tolerances.
@@ -8,6 +8,13 @@ The search (`min_norm_point`, `solve_many`) serves both engines: it calls
 whichever primitives are active. `solve_many` settles the rows the search
 would stop for at its second node in one vectorized pass, and
 `min_norm_point` is `solve_many` on one row.
+
+Linear algebra decides first wherever it can, and the LPs decide the rest.
+`independent_rows` certifies that a family of unit rows is linearly
+independent with margin; such a family is its own minimum description
+(`geom` uses it), and it lets the search's optimality criterion read the
+answer off the KKT multipliers of the rows tight at a candidate (`_kkt`)
+before it falls back to the strict-system LP.
 
 Status codes returned by ``min_norm_point``:
     0  found (query outside, exact point returned)
@@ -36,6 +43,10 @@ _PIV_TOL = 1e-10     # minimum pivot magnitude
 _FEAS_TOL = 1e-9     # phase-1 objective cutoff
 _SVM_BLOCK = 64      # rows per gradient block of a sparse SVM sweep
 _SVM_DENSE = 0.25    # share of triggered rows above which the next sweep goes row by row
+_RANK_TAU = 1e-6     # smallest singular value `independent_rows` certifies
+_KKT_LAMBDA = 1e-7   # |lambda| / |x - y| below which a multiplier is undecided
+_KKT_SLACK = 1e-6    # margin below which a row not tight at y is clearly slack
+_KKT_RESIDUAL = 1e-9  # |x - y - lambda V| / |x - y| above which the solve is not trusted
 
 
 class _Stop(Exception):
@@ -183,6 +194,28 @@ def _necessity_mask(V, S, feet, strict_tol):
     return keep
 
 
+def independent_rows(V: np.ndarray) -> bool:
+    """Whether the unit rows of V are linearly independent with margin.
+
+    True iff there are at most as many rows as columns and the Cholesky
+    factorization of V Vᵀ − τ²I succeeds, i.e. the smallest singular value
+    of V exceeds τ = `_RANK_TAU` up to round-off. Then V z = b is solvable
+    for every b: the polyhedron V z <= S is non-empty, every boundary
+    touches it, and every row can be violated while the others hold
+    strictly, so each one is necessary.
+    """
+    k, n = V.shape
+    if k > n:
+        return False
+    G = V @ V.T
+    G.flat[:: k + 1] -= _RANK_TAU * _RANK_TAU
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def min_h_mask(V: np.ndarray, S: np.ndarray, strict_tol: float = 1e-9) -> np.ndarray:
     """Mask of halfspaces forming the minimum description of their intersection."""
     V = np.ascontiguousarray(V, dtype=np.float64)
@@ -206,7 +239,8 @@ def min_norm_point(
     Returns (y, nodes, status). V rows must be unit norm. With status FOUND,
     y is the unique nearest point; with INSIDE, y equals x. The search
     projects onto descending-signed-distance hyperplanes recursively,
-    certifying candidate points with the strict-system optimality criterion.
+    certifying candidate points by their KKT multipliers (`_kkt`) where
+    those decide, and with the strict-system optimality criterion otherwise.
     Redundant halfspaces are masked out of every family it branches on, the
     root one included. This is `solve_many` on the one row x.
     """
@@ -252,13 +286,58 @@ def _first_projection(V, S, X, eps, eps_dep):
     return settled, F, d
 
 
+def _kkt(V, m, w, nv, eps):
+    """Decide a candidate y by the KKT multipliers of the rows tight at it.
+
+    m = V y - S (every entry <= eps, as y lies in P), w = x - y and nv = |w|.
+    y is the nearest point of P from x iff w lies in the cone of the normals
+    of the rows tight at y (|m| <= eps). When those rows are independent
+    (`independent_rows`), w = Σ λ_j V_j has one solution. Returns True when
+    every λ_j exceeds `_KKT_LAMBDA`·nv; False when some λ_j is below
+    −`_KKT_LAMBDA`·nv and every other row is slack by more than
+    `_KKT_SLACK`, so that y can move into P away from that row and closer
+    to x; None otherwise, and when the rows are dependent or w leaves their
+    span, for the strict-system LP to decide.
+    """
+    tight = m >= -eps
+    T = V[tight]
+    if not T.shape[0] or not independent_rows(T):
+        return None
+    lam = np.linalg.solve(T @ T.T, T @ w)
+    if np.linalg.norm(w - lam @ T) > _KKT_RESIDUAL * nv:
+        return None
+    low = lam.min()
+    if low > _KKT_LAMBDA * nv:
+        return True
+    if low < -_KKT_LAMBDA * nv and (m[~tight] < -_KKT_SLACK).all():
+        return False
+    return None
+
+
+def _criterion(V, S, x, y, m, eps, strict_tol):
+    """Whether y, a point of P with margins m = V y - S, is the nearest point
+    of P from x: `_kkt` when it decides, else the strict-system LP (no point
+    of P's interior lies strictly beyond y's hyperplane towards x)."""
+    v = y - x
+    nv = np.linalg.norm(v)
+    if nv <= eps:
+        return True
+    decided = _kkt(V, m, -v, nv, eps)
+    if decided is not None:
+        return decided
+    rows = np.concatenate((V, v[None, :] / nv))
+    rhs = np.concatenate((S, [float(y @ v) / nv]))
+    return _kernel.strict_margin(rows, rhs) <= strict_tol
+
+
 def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
     """The search for one row of `solve_many`, sharing the root mask in root[0].
 
     At depth 0 the reduced family is (V, S) itself, so its redundancy mask
     does not depend on x. It is computed at the first depth-0 expansion
     (inside the node and time budgets) and left in root[0] for any later
-    query on the same family.
+    query on the same family. Candidates at depth >= 2 go through
+    `_criterion`.
     """
     k, n = V.shape
     margins = V @ x - S
@@ -267,15 +346,6 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
     deadline = None if time_budget is None else time.monotonic() + time_budget
     U = np.zeros((n, n))
     state = {"nodes": 0}
-
-    def criterion(y):
-        v = y - x
-        nv = np.linalg.norm(v)
-        if nv <= eps:
-            return True
-        rows = np.concatenate((V, v[None, :] / nv))
-        rhs = np.concatenate((S, [float(y @ v) / nv]))
-        return _kernel.strict_margin(rows, rhs) <= strict_tol
 
     def node(y, active, depth):
         assert depth <= n
@@ -288,7 +358,7 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
         if m_full.max() <= eps:
             if depth <= 1:
                 return y  # single-projection feasibility implies optimality
-            return y if criterion(y) else None
+            return y if _criterion(V, S, x, y, m_full, eps, strict_tol) else None
         if depth == n or active.size == 0:
             return None
         if depth:

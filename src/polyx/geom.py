@@ -186,9 +186,13 @@ def support_filter(P: PolyhedronH) -> PolyhedronH:
     A boundary touches P iff the constraints of P together with equality on
     that boundary (written as two opposing inequalities) stay feasible. This
     is strictly weaker than minimum-description filtering: a constraint can
-    touch P at a single point and still be redundant.
+    touch P at a single point and still be redundant. When the normals are
+    linearly independent with margin (`_kernel.independent_rows`), every
+    boundary touches P and P is returned as it is, without an LP.
     """
     V, S = P.matrix()
+    if _kernel.independent_rows(V):
+        return P
     _require_nonempty(V, S)
     kept = []
     for i, b in enumerate(P.halfspaces):
@@ -202,14 +206,21 @@ def support_filter(P: PolyhedronH) -> PolyhedronH:
 def min_h_description(P: PolyhedronH) -> PolyhedronH:
     """The irredundant sub-family describing the same point set.
 
-    Halfspace j survives iff some point violates it while satisfying the
-    interiors of all currently retained others (a strict linear system).
-    Testing from the highest index down keeps the lowest-index copy of any
-    duplicated constraint. A single halfspace is returned as it is.
+    Linear algebra decides first: when the normals are linearly independent
+    with margin (`_kernel.independent_rows`: at most `dim` rows whose
+    smallest singular value exceeds 1e-6), P is non-empty and every
+    halfspace is necessary, so P is returned as it is, without an LP. A
+    single halfspace always is; so are the K - 1 rows of a k-means Voronoi
+    cell or a one-vs-one SVM class polyhedron when K - 1 <= bands and no
+    class normal is a combination of the others. Otherwise P must be
+    non-empty (a feasibility LP) and halfspace j survives iff some point
+    violates it while satisfying the interiors of all currently retained
+    others (a strict linear system). Testing from the highest index down
+    keeps the lowest-index copy of any duplicated constraint.
     """
-    if P.k == 1:
-        return P
     V, S = P.matrix()
+    if _kernel.independent_rows(V):
+        return P
     _require_nonempty(V, S)
     mask = _kernel.min_h_mask(V, S)
     kept = tuple(b for b, keep in zip(P.halfspaces, mask) if keep)

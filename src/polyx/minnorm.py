@@ -6,8 +6,11 @@ global optimality test (a strict linear system that is infeasible exactly at
 the nearest point). The search, with its projections and family reductions,
 lives in the kernel, which runs it on the active engine's LP primitives
 and settles the queries it would stop for at its second node (the foot on
-the most violated hyperplane, when that foot lies in P) without it. This
-module holds the public result type, the optimality test, and the single
+the most violated hyperplane, when that foot lies in P) without it. Inside
+the search, a candidate whose tight rows are linearly independent is
+decided by the signs of its KKT multipliers, and the strict system's LP
+runs only where they cannot tell. This module holds the public result
+type, the optimality test (`is_min_norm`, always the LP), and the single
 and batch entry points.
 """
 
@@ -120,7 +123,9 @@ def signed_distances(
     """Signed distance of every row of X to P.
 
     Inside rows are settled in one vectorized max-margin pass over the
-    minimum description. Every exterior row then goes to the kernel in one
+    minimum description, which is P itself, found without an LP, when its
+    normals are independent (`geom.min_h_description`). Every exterior row
+    then goes to the kernel in one
     `solve_many` batch, which settles the rows whose foot on their most
     violated hyperplane lies in P in one vectorized pass and searches the
     rest, sharing the root redundancy mask.

@@ -66,6 +66,5 @@ def seeded(label: str, index: int = 0) -> np.random.Generator:
 
 def use_engine(monkeypatch, name: str) -> None:
     """Bind the named engine's LP and SVM primitives for the rest of a test."""
-    mod = _kernel.engines()[name]
-    for attr in _kernel.PRIMITIVES:
-        monkeypatch.setattr(_kernel, attr, getattr(mod, attr))
+    for attr, fn in _kernel.primitives(_kernel.engines()[name]).items():
+        monkeypatch.setattr(_kernel, attr, fn)

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import pentad, random_polyhedron, seeded, square
-from polyx import errors, geom
+from helpers import pentad, random_polyhedron, random_rows, seeded, square
+from polyx import _kernel, classify, errors, geom
 
 
 def test_hyperplane_normalizes_jointly():
@@ -157,6 +157,120 @@ def test_min_h_preserves_containment():
         pts = gen.uniform(-3, 3, size=(1000, 2))
         for x in pts:
             assert geom.contains(P, x) == geom.contains(Q, x)
+
+
+def _count_lps(monkeypatch) -> list:
+    """Record the name of every LP primitive called through `_kernel`."""
+    calls = []
+    for name in _kernel.LPS:
+        real = getattr(_kernel, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(_kernel, name, counted)
+    return calls
+
+
+def _lp_path(monkeypatch, reduce, P):
+    """`reduce(P)` with the rank certificate switched off, so the LPs decide."""
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "independent_rows", lambda V: False)
+        return reduce(P)
+
+
+def _same(P, Q) -> bool:
+    return P.k == Q.k and all(a is b for a, b in zip(P.halfspaces, Q.halfspaces))
+
+
+def _near_pair(gen, n: int, k: int, angle: float) -> geom.PolyhedronH:
+    """k random unit rows in n-D, row 1 turned `angle` rad away from row 0."""
+    V, S = random_rows(n, k, gen, lo=0.3, hi=1.5)
+    u = gen.normal(size=n)
+    u -= (u @ V[0]) * V[0]
+    V[1] = np.cos(angle) * V[0] + np.sin(angle) * (u / np.linalg.norm(u))
+    return geom.PolyhedronH.from_rows(zip(S, V))
+
+
+def _class_polyhedra():
+    """The k-means Voronoi cells and one-vs-one SVM cells of three blobs in 6 bands."""
+    gen = seeded("class-cells")
+    centers = gen.normal(size=(3, 6)) * 3.0
+    labels = np.repeat(np.arange(3), 40)
+    data = centers[labels] + gen.normal(size=(120, 6))
+    voronoi = classify.voronoi_partition(classify.kmeans_fit(data, 3, seed=0))
+    svm = classify.ovo_svm_partition(data, labels, 3, seed=0)
+    return voronoi.polyhedra + svm.polyhedra
+
+
+def test_independent_families_run_no_lp(monkeypatch):
+    gen = seeded("rank-certificate")
+    families = [random_polyhedron(n, int(gen.integers(1, n + 1)), gen) for n in range(2, 9)]
+    families += list(_class_polyhedra())
+    calls = _count_lps(monkeypatch)
+    for P in families:
+        assert _kernel.independent_rows(P.matrix()[0])
+        assert geom.min_h_description(P) is P
+        assert geom.support_filter(P) is P
+    assert calls == []
+
+
+def test_rank_certificate_agrees_with_the_lp_masks(monkeypatch):
+    """Where the certificate holds, both engines' LP masks keep every row,
+    and both reductions return what their LP paths return."""
+    masks = [mod.min_h_mask for mod in _kernel.engines().values()]
+    for angle in (1e-3, 1e-4, 1e-5, 1e-6):
+        gen = seeded("rank-vs-lp", int(-np.log10(angle)))
+        certified = 0
+        for _ in range(40):
+            n = int(gen.integers(2, 7))
+            P = _near_pair(gen, n, int(gen.integers(2, n + 1)), angle)
+            V, S = P.matrix()
+            if not _kernel.independent_rows(V):
+                continue
+            certified += 1
+            for mask in masks:
+                assert np.asarray(mask(V, S), dtype=bool).all()
+            assert _same(_lp_path(monkeypatch, geom.min_h_description, P), P)
+            assert _same(_lp_path(monkeypatch, geom.support_filter, P), P)
+        # two unit rows theta apart have sigma_min = sqrt(1 - cos theta),
+        # 7e-7 at theta = 1e-6; other rows only lower it
+        if angle <= 1e-6:
+            assert certified == 0
+        else:
+            assert certified >= 35
+
+
+@pytest.mark.parametrize(
+    "rows, kept",
+    [
+        # x1 <= 1 twice: the lowest-index copy stays
+        ([(1, [1, 0, 0]), (1, [0, 1, 0]), (1, [1, 0, 0])], [0, 1]),
+        # x1 <= 2 is dominated by the parallel x1 <= 1 after it
+        ([(2, [1, 0, 0]), (1, [0, 1, 0]), (1, [1, 0, 0])], [1, 2]),
+    ],
+    ids=["duplicated", "parallel"],
+)
+def test_dependent_rows_fall_through_to_the_lp(monkeypatch, rows, kept):
+    P = geom.PolyhedronH.from_rows(rows)
+    assert not _kernel.independent_rows(P.matrix()[0])
+    calls = _count_lps(monkeypatch)
+    Q = geom.min_h_description(P)
+    assert "min_h_mask" in calls
+    assert list(Q.halfspaces) == [P.halfspaces[i] for i in kept]
+
+
+def test_support_filter_shortcut_matches_the_lp_path(monkeypatch):
+    gen = seeded("support-shortcut")
+    for _ in range(30):
+        n = int(gen.integers(2, 7))
+        P = random_polyhedron(n, int(gen.integers(1, n + 1)), gen)
+        assert geom.support_filter(P) is P
+        assert _same(_lp_path(monkeypatch, geom.support_filter, P), P)
+    # not certified (k > n): the LPs run and still drop the slack row
+    Q = geom.support_filter(pentad())
+    assert Q.k == 4 and _kernel.independent_rows(pentad().matrix()[0]) is False
 
 
 def test_json_round_trip(tmp_path):

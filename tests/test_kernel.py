@@ -2,14 +2,15 @@
 and pure primitives must agree, and the search must then agree with itself
 in status, node count and coordinates (to round-off) on the same inputs."""
 
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import pentad, random_rows, seeded, use_engine
-from polyx import _kernel, minnorm
+from helpers import pentad, random_rows, seeded, square, use_engine
+from polyx import _kernel, cli, errors, geom, minnorm
 from polyx._kernel import pure
 
 ENGINES = _kernel.engines()
@@ -103,6 +104,103 @@ def test_second_node_shortcut_skips_a_weakly_redundant_row(engine):
     want = pure._search(V, S, x, [None], 1e-9, 1e-10, 1e-9, 10_000_000, None)
     assert want[2] == _kernel.FOUND and want[1] > 2
     assert np.allclose(want[0], y, atol=1e-12)
+
+
+def _criterion_decisions(monkeypatch, queries):
+    """Run `min_norm_point` on every (V, S, x) and return, per optimality
+    test of the search, (what `_kkt` said, what the strict-system LP says)."""
+    criterion, kkt = pure._criterion, pure._kkt
+    seen = []
+
+    def recorded_kkt(*args):
+        seen[-1][1] = kkt(*args)
+        return seen[-1][1]
+
+    def recorded(*args):
+        seen.append([args, None])
+        return criterion(*args)
+
+    monkeypatch.setattr(pure, "_kkt", recorded_kkt)
+    monkeypatch.setattr(pure, "_criterion", recorded)
+    for V, S, x in queries:
+        _kernel.min_norm_point(V, S, x)
+    monkeypatch.setattr(pure, "_kkt", lambda *args: None)
+    return [(said, criterion(*args)) for args, said in seen]
+
+
+@pytest.mark.parametrize(
+    "family, x, falls_back",
+    [
+        # margins tie at (2, 2); the two rows tight at (1, 1) decide it
+        (square().matrix(), [2.0, 2.0], False),
+        # x1 <= 1, x2 <= 1 and x1 + x2 <= 2 are tight at (1, 1): 3 rows in 2-D
+        (pentad().matrix(), [2.0, 1.5], True),
+        # x1 <= 0 twice and x2 <= 0 are tight at the origin
+        (_unit([(0, [1, 0]), (0, [1, 0]), (0, [0, 1])]), [1.0, 2.0], True),
+    ],
+    ids=["tied-corner", "pentad-corner", "duplicated-row"],
+)
+def test_kkt_decides_as_the_lp_or_falls_back(engine, monkeypatch, family, x, falls_back):
+    V, S = family
+    decisions = _criterion_decisions(monkeypatch, [(V, S, np.array(x))])
+    assert [said for said, _ in decisions] == [None if falls_back else True]
+    assert [lp for _, lp in decisions] == [True]
+
+
+def test_kkt_leaves_dependent_rows_and_thin_slack_to_the_lp():
+    eps = 1e-9
+    # y = 0 on x1 <= 0 twice in 3-D: two tight rows, but dependent ones
+    V = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
+    assert pure._kkt(V, np.array([0.0, 0.0, -1.0]), np.array([1.0, 0, 0]), 1.0, eps) is None
+    # y = 0 on x1 <= 0 and x2 <= 0, with row 2 (x2 >= -s) slack by s: from
+    # x - y = (1, -1) the multiplier of x2 <= 0 is -1, so y is not the
+    # nearest point only if y can move down by more than round-off
+    V = np.array([[1.0, 0], [0, 1.0], [0, -1.0]])
+    w, nv = np.array([1.0, -1.0]), np.sqrt(2.0)
+    assert pure._kkt(V, np.array([0.0, 0.0, -1e-3]), w, nv, eps) is False
+    assert pure._kkt(V, np.array([0.0, 0.0, -1e-8]), w, nv, eps) is None
+    # x - y = (1, 1) lies in the cone of the tight normals: y is the nearest point
+    assert pure._kkt(V, np.array([0.0, 0.0, -1e-8]), np.array([1.0, 1.0]), nv, eps) is True
+    # x - y = (1, 1, 1) leaves the span of the tight x1 <= 0 and x2 <= 0: y
+    # is not the foot of x on their intersection, and no multiplier says so
+    V = np.array([[1.0, 0, 0], [0, 1.0, 0]])
+    assert pure._kkt(V, np.zeros(2), np.ones(3), np.sqrt(3.0), eps) is None
+
+
+def test_kkt_decisions_equal_the_lp_on_random_queries(engine, monkeypatch):
+    gen = seeded("kkt-vs-lp")
+    queries = []
+    for _ in range(300):
+        n = int(gen.integers(2, 7))
+        V, S = random_rows(n, int(gen.integers(2, 2 * n + 4)), gen)
+        queries.append((V, S, gen.normal(size=n) * 2.5))
+    decisions = _criterion_decisions(monkeypatch, queries)
+    said = [s for s, _ in decisions]
+    assert said.count(True) >= 50 and said.count(False) >= 5
+    assert all(s in (None, lp) for s, lp in decisions)
+
+
+def _near_parallel_rows():
+    """Seven rows in 5-D, rows 0 and 1 1e-8 rad apart: a draw on which both
+    engines' redundancy LPs break down."""
+    gen = seeded("lp-breakdown", 109)
+    V, S = random_rows(5, int(gen.integers(4, 9)), gen)
+    u = gen.normal(size=5)
+    u -= (u @ V[0]) * V[0]
+    V[1] = np.cos(1e-8) * V[0] + np.sin(1e-8) * (u / np.linalg.norm(u))
+    return geom.PolyhedronH.from_rows(zip(S, V))
+
+
+def test_lp_breakdown_is_a_conditioning_error(engine, tmp_path, capsys):
+    P = _near_parallel_rows()
+    with pytest.raises(errors.ConditioningError, match="LP breakdown") as info:
+        geom.min_h_description(P)
+    assert isinstance(info.value.__cause__, RuntimeError)
+    path = tmp_path / "p.json"
+    geom.save_polyhedron(P, path)
+    capsys.readouterr()
+    assert cli.main(["reduce", "--polyhedron", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "ill-conditioned"
 
 
 @BOTH
