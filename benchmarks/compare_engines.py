@@ -21,9 +21,10 @@ primitives over the batches `polyx unmix --mode probability` hands it:
 every class polyhedron of the CLI's k-means and gmm-svm fits against all
 pixels, on the six cubes of the first two samson-kmeans-prob and
 cube-svm-prob passes.
-Each row gives the best of 3 times, the share of exterior rows that the
-first-projection pass of `solve_many` leaves to the search (`pure._search`),
-and the LP primitive calls per batch (`feasible`, `strict_margin` and
+Each row gives the best of 3 times, the shares of exterior rows that
+`solve_many` settles in its first bulk pass (`pure._first_projection`, 2
+nodes), in its second (`pure._second_projection`, 3 nodes) and in the
+search (`pure._search`), and the LP primitive calls per batch (`feasible`, `strict_margin` and
 `min_h_mask` through `polyx._kernel`; the pure `min_h_mask` makes its LPs
 through `strict_margin`, so they count too, while a compiled one counts as
 one call).
@@ -175,18 +176,29 @@ def distance_batches(spec: workloads.CubeSpec, seeds) -> list:
     return batches
 
 
-def time_distances(impl, batches) -> tuple[float, int, int, list]:
+def time_distances(impl, batches) -> tuple[float, dict, int, list]:
     """Best-of-3 seconds `signed_distances` takes over all batches on
-    `impl`'s primitives, the rows one pass hands to the search, the LP
-    primitive calls one pass makes through `_kernel` (`_kernel.LPS`; a
-    compiled `min_h_mask` runs its LPs in C and counts as one call), and
-    the distances."""
-    searched = lps = 0
-    search = pure._search
+    `impl`'s primitives, the rows one pass settles in each stage of
+    `solve_many` (keys "first", "second", "search"), the LP primitive calls
+    one pass makes through `_kernel` (`_kernel.LPS`; a compiled
+    `min_h_mask` runs its LPs in C and counts as one call), and the
+    distances."""
+    settled = dict.fromkeys(("first", "second", "search"), 0)
+    lps = 0
+    first, second, search = pure._first_projection, pure._second_projection, pure._search
 
-    def counted(*args):
-        nonlocal searched
-        searched += 1
+    def counted_first(*args):
+        got = first(*args)
+        settled["first"] += int(got[0].sum())
+        return got
+
+    def counted_second(*args):
+        got = second(*args)
+        settled["second"] += int(got[0].sum())
+        return got
+
+    def counted_search(*args):
+        settled["search"] += 1
         return search(*args)
 
     def lp(fn):
@@ -196,20 +208,23 @@ def time_distances(impl, batches) -> tuple[float, int, int, list]:
             return fn(*args)
         return call
 
-    pure._search = counted
+    pure._first_projection = counted_first
+    pure._second_projection = counted_second
+    pure._search = counted_search
     try:
         with primitives(impl):
             for name in _kernel.LPS:
                 setattr(_kernel, name, lp(getattr(_kernel, name)))
             seconds = []
             for _ in range(3):
-                searched = lps = 0
+                settled.update(dict.fromkeys(settled, 0))
+                lps = 0
                 t0 = time.perf_counter()
                 dists = [minnorm.signed_distances(P, X) for P, X in batches]
                 seconds.append(time.perf_counter() - t0)
     finally:
-        pure._search = search
-    return min(seconds), searched, lps, dists
+        pure._first_projection, pure._second_projection, pure._search = first, second, search
+    return min(seconds), settled, lps, dists
 
 
 def run_distances(args) -> None:
@@ -223,11 +238,13 @@ def run_distances(args) -> None:
             exterior += int(((X @ V.T - S).max(axis=1) > 1e-9).sum())
         dists = {}
         for name, impl in engines.items():
-            seconds, searched, lps, dists[name] = time_distances(impl, batches)
+            seconds, settled, lps, dists[name] = time_distances(impl, batches)
+            shares = " / ".join(f"{n / max(exterior, 1):.1%}" for n in settled.values())
             print(f"signed_distances {workload}, {len(batches)} batches of {len(seeds)} cubes,"
-                  f" {name}: {seconds:.3f} s, {searched} of {exterior} exterior rows searched"
-                  f" ({searched / max(exterior, 1):.1%}), {lps / len(batches):.2f} LP calls"
-                  " per batch")
+                  f" {name}: {seconds:.3f} s, of {exterior} exterior rows"
+                  f" {settled['first']} / {settled['second']} / {settled['search']}"
+                  f" ({shares}) settled by the first pass / the second / the search,"
+                  f" {lps / len(batches):.2f} LP calls per batch")
         gap = max(float(np.abs(a - b).max()) for a, b in zip(dists["native"], dists["python"]))
         print(f"signed_distances {workload}: max|d_native - d_python| {gap:.1e}")
 

@@ -3,9 +3,12 @@ present, from pure NumPy otherwise. The one search (`min_norm_point`,
 `solve_many`, in ``pure``) calls its LPs through this module, so it runs on
 whichever primitives are bound here; ``native``'s own search is unused.
 `solve_many` settles the rows whose first projection lands in the
-polyhedron in one vectorized pass before any search, and `min_norm_point`
-is `solve_many` on one row. `independent_rows` is the rank certificate that
-lets callers skip the LPs for a family of linearly independent rows.
+polyhedron in one vectorized pass before any search, and in a second pass
+the rows whose second projection lands there with KKT multipliers that
+certify it; `min_norm_point` is `solve_many` on one row.
+`independent_rows` is the rank certificate that lets callers, and the
+search's root mask, skip the LPs for a family of linearly independent
+rows.
 
 A simplex breakdown inside an LP primitive (a ``RuntimeError`` from either
 engine, e.g. on two rows a few nanoradians apart) leaves this module as

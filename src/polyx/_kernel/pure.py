@@ -6,15 +6,18 @@ ones in ``native.pyx``; both implement identical semantics and tolerances.
 The search (`min_norm_point`, `solve_many`) serves both engines: it calls
 `strict_margin` and `min_h_mask` through the package, which binds them to
 whichever primitives are active. `solve_many` settles the rows the search
-would stop for at its second node in one vectorized pass, and
-`min_norm_point` is `solve_many` on one row.
+would stop for at its second node in one vectorized pass
+(`_first_projection`), and those it would stop for at its third node,
+certified by their KKT multipliers, in a second one
+(`_second_projection`); `min_norm_point` is `solve_many` on one row.
 
 Linear algebra decides first wherever it can, and the LPs decide the rest.
 `independent_rows` certifies that a family of unit rows is linearly
 independent with margin; such a family is its own minimum description
-(`geom` uses it), and it lets the search's optimality criterion read the
-answer off the KKT multipliers of the rows tight at a candidate (`_kkt`)
-before it falls back to the strict-system LP.
+(`geom` and the search's root mask use it), and it lets the search's
+optimality criterion read the answer off the KKT multipliers of the rows
+tight at a candidate (`_kkt`) before it falls back to the strict-system
+LP.
 
 Status codes returned by ``min_norm_point``:
     0  found (query outside, exact point returned)
@@ -47,6 +50,7 @@ _RANK_TAU = 1e-6     # smallest singular value `independent_rows` certifies
 _KKT_LAMBDA = 1e-7   # |lambda| / |x - y| below which a multiplier is undecided
 _KKT_SLACK = 1e-6    # margin below which a row not tight at y is clearly slack
 _KKT_RESIDUAL = 1e-9  # |x - y - lambda V| / |x - y| above which the solve is not trusted
+_BULK_ELEMS = 1 << 18  # rows x k x dim entries per block of the second pass: 2 MB arrays
 
 
 class _Stop(Exception):
@@ -253,8 +257,10 @@ def min_norm_point(
 def _first_projection(V, S, X, eps, eps_dep):
     """Rows of X whose foot on their most violated hyperplane lies in P.
 
-    Returns (settled mask, feet, normalized margins d); feet and d are
-    meaningful where settled, and |foot - x| equals d up to round-off.
+    Returns (settled, left, feet, normalized margins d, faces c, row norms
+    wn, margins G = V foot - S at the feet); all but wn are meaningful
+    where settled or left. `left` marks the exterior rows whose foot lies
+    outside P, for `_second_projection`.
     P lies inside each of its halfspaces, so a foot on hyperplane c that lies
     in P is the nearest point of P: it is already the nearest point of
     halfspace c. Only the face of largest normalized margin (lowest index on
@@ -266,7 +272,7 @@ def _first_projection(V, S, X, eps, eps_dep):
     """
     M = X @ V.T
     M -= S
-    outside = np.maximum.reduce(M, 1) > eps
+    live = np.maximum.reduce(M, 1) > eps
     wn = np.sqrt(np.add.reduce(V * V, 1))  # the search's depth-0 wn
     M /= wn
     c = M.argmax(1)
@@ -279,11 +285,77 @@ def _first_projection(V, S, X, eps, eps_dep):
     np.subtract(X, F, out=F)
     G = F @ V.T
     G -= S
-    settled = np.maximum.reduce(G, 1) <= eps
-    settled &= outside
-    settled &= d > eps
-    settled &= wc > eps_dep
-    return settled, F, d
+    live &= d > eps
+    live &= wc > eps_dep
+    inside = np.maximum.reduce(G, 1) <= eps
+    return live & inside, live & ~inside, F, d, c, wn, G
+
+
+def _second_projection(V, S, X, F, G, c, d, wn, eps, eps_dep):
+    """Rows of X that the search settles at its third node, and their points.
+
+    X holds rows that `_first_projection` left over: each has its first
+    foot F = x - d u on face c (u = V_c / wn_c) outside P, with margins
+    G = V F - S. The step repeats the search's depth-1 arithmetic on every
+    row at once: it projects the rows orthogonally to u (two Gram-Schmidt
+    passes, `wn > eps_dep`), takes the face c2 of largest projected margin
+    d2 (lowest index on ties, `d2 > eps`) and its foot y2 = F - d2 U2 on
+    both hyperplanes, U2 the unit projection of V_c2. Returns (settled
+    mask, y2); y2 is meaningful where settled.
+
+    A row is settled only when y2 lies in P with exactly rows c and c2
+    tight (margin >= -eps), those two pass the `independent_rows` test (the
+    2x2 Cholesky condition, as a determinant), and the KKT multipliers of
+    x - y2 on them have a residual of at most `_KKT_RESIDUAL`·|x - y2| and
+    exceed `_KKT_LAMBDA`·|x - y2|: the search's own `_kkt` acceptance. The
+    multipliers are read off x - y2 = d u + d2 U2 with V_c2 = (V_c2·u) u +
+    |W_c2| U2, the same unique solution `_kkt` finds up to round-off. Then
+    y2 is the nearest point of P, and the search stops there at node 3:
+    every other row is slack at y2, so y2, the foot of c2, certifies c2
+    necessary in the depth-1 mask, and c2 is the top candidate there.
+    Dependent tight rows, a multiplier near 0 or y2 outside P leave the row
+    to the search.
+    """
+    at = np.arange(len(c))
+    u = V[c] / wn[c][:, None]  # the search's U[0], row by row
+    A = u @ V.T
+    W = V - A[:, :, None] * u[:, None, :]
+    W -= (W @ u[:, :, None]) * u[:, None, :]
+    wn2 = np.sqrt(np.add.reduce(W * W, 2))
+    wn2[at, c] = 0.0  # the search has taken face c out of the family
+    dist = np.divide(G, wn2, out=np.full(G.shape, -np.inf), where=wn2 > eps_dep)
+    c2 = dist.argmax(1)
+    d2 = dist[at, c2]
+    ok = d2 > eps
+    if not ok.any():
+        return ok, F
+    # both clamps leave the rows with a candidate as they are
+    w2 = np.maximum(wn2[at, c2], eps_dep)
+    np.maximum(d2, 0.0, out=d2)
+    Y = W[at, c2] / w2[:, None]
+    Y *= d2[:, None]
+    np.subtract(F, Y, out=Y)
+    M = Y @ V.T
+    M -= S
+    tight = M >= -eps
+    ok &= np.maximum.reduce(M, 1) <= eps
+    ok &= np.add.reduce(tight, 1) == 2
+    ok &= tight[at, c] & tight[at, c2]
+    if not ok.any():
+        return ok, Y
+    a = A[at, c2]  # V_c2·u
+    wc = wn[c]
+    g00, g11 = wc * wc - _RANK_TAU**2, wn[c2] ** 2 - _RANK_TAU**2
+    ok &= (g00 > 0.0) & (g00 * g11 > (a * wc) ** 2)
+    l2 = d2 / w2
+    l1 = (d - l2 * a) / wc
+    w = X - Y
+    nv = np.sqrt(np.add.reduce(w * w, 1))
+    w -= l1[:, None] * V[c]
+    w -= l2[:, None] * V[c2]
+    ok &= np.sqrt(np.add.reduce(w * w, 1)) <= _KKT_RESIDUAL * nv
+    ok &= np.minimum(l1, l2) > _KKT_LAMBDA * nv
+    return ok, Y
 
 
 def _kkt(V, m, w, nv, eps):
@@ -335,9 +407,9 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
 
     At depth 0 the reduced family is (V, S) itself, so its redundancy mask
     does not depend on x. It is computed at the first depth-0 expansion
-    (inside the node and time budgets) and left in root[0] for any later
-    query on the same family. Candidates at depth >= 2 go through
-    `_criterion`.
+    (inside the node and time budgets), without an LP when the family
+    passes `independent_rows`, and left in root[0] for any later query on
+    the same family. Candidates at depth >= 2 go through `_criterion`.
     """
     k, n = V.shape
     margins = V @ x - S
@@ -380,7 +452,9 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
         feet = y[None, :] - dist[:, None] * Ui
         if depth == 0:
             if root[0] is None:
-                root[0] = _kernel.min_h_mask(V, S, strict_tol)
+                # independent rows are each necessary (`independent_rows`)
+                root[0] = (np.ones(k, dtype=bool) if independent_rows(V)
+                           else _kernel.min_h_mask(V, S, strict_tol))
             keep = root[0][indep]
         else:
             keep = _necessity_mask(Ui, Ui @ y - dist, feet, strict_tol)
@@ -414,25 +488,41 @@ def solve_many(V, S, X, eps=1e-9, eps_dep=1e-10, strict_tol=1e-9,
                node_limit=10_000_000, time_budget=None):
     """Vector/batch driver over rows of X. Returns (Y, dist, nodes, status).
 
-    One vectorized pass first settles, at 2 nodes, every exterior row whose
-    foot on its most violated hyperplane lies in P (`_first_projection`),
-    when the node limit is at least 2 and the time budget not 0. Only the
-    rows left over run the search. The time budget, when given, applies per
-    solve. The root redundancy mask is computed once, at the first searched
-    row, and reused for the rest.
+    Two vectorized passes run first, when the time budget is not 0. With a
+    node limit of at least 2, `_first_projection` settles at 2 nodes every
+    exterior row whose foot on its most violated hyperplane lies in P; with
+    at least 3, `_second_projection` settles at 3 nodes the rows left over
+    whose second foot the KKT multipliers certify, in blocks of at most
+    `_BULK_ELEMS` projected rows. Only the rows left after both run the
+    search. The time budget, when given, applies per solve. The root
+    redundancy mask is computed once, at the first searched row, and reused
+    for the rest.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     Vc = np.ascontiguousarray(V, dtype=np.float64)
     Sc = np.ascontiguousarray(S, dtype=np.float64)
     m = X.shape[0]
+    nodes = np.zeros(m, np.int64)
     if node_limit >= 2 and (time_budget is None or time_budget > 0):
-        settled, Y, dist = _first_projection(Vc, Sc, X, eps, eps_dep)
+        settled, left, Y, dist, c, wn, G = _first_projection(Vc, Sc, X, eps, eps_dep)
+        nodes[settled] = 2
+        left = left.nonzero()[0] if node_limit >= 3 else []
+        step = max(1, _BULK_ELEMS // Vc.size)
+        for at in range(0, len(left), step):
+            r = left[at : at + step]
+            done, y2 = _second_projection(Vc, Sc, X[r], Y[r], G[r], c[r], dist[r], wn, eps,
+                                          eps_dep)
+            if done.any():
+                r = r[done]
+                Y[r] = y2[done]
+                w = Y[r] - X[r]
+                dist[r] = np.sqrt(np.add.reduce(w * w, 1))
+                nodes[r] = 3
     else:
-        settled, Y, dist = np.zeros(m, dtype=bool), np.empty_like(X), np.empty(m)
-    nodes = np.where(settled, 2, 0)
+        Y, dist = np.empty_like(X), np.empty(m)
     status = np.zeros(m, np.int64)  # FOUND
     root = [None]
-    for i in (~settled).nonzero()[0].tolist():
+    for i in (nodes == 0).nonzero()[0].tolist():
         y, nd, st = _search(Vc, Sc, X[i], root, eps, eps_dep, strict_tol,
                             node_limit, time_budget)
         Y[i] = y

@@ -5,8 +5,11 @@ recursing through reduced constraint families until a candidate passes the
 global optimality test (a strict linear system that is infeasible exactly at
 the nearest point). The search, with its projections and family reductions,
 lives in the kernel, which runs it on the active engine's LP primitives
-and settles the queries it would stop for at its second node (the foot on
-the most violated hyperplane, when that foot lies in P) without it. Inside
+and settles without it, in two vectorized passes, the queries it would
+stop for at its second node (the foot on the most violated hyperplane,
+when that foot lies in P) and at its third (the foot on that hyperplane
+and the next most violated one, when it lies in P with exactly those two
+rows tight and KKT multipliers that certify it). Inside
 the search, a candidate whose tight rows are linearly independent is
 decided by the signs of its KKT multipliers, and the strict system's LP
 runs only where they cannot tell. This module holds the public result
@@ -127,8 +130,9 @@ def signed_distances(
     normals are independent (`geom.min_h_description`). Every exterior row
     then goes to the kernel in one
     `solve_many` batch, which settles the rows whose foot on their most
-    violated hyperplane lies in P in one vectorized pass and searches the
-    rest, sharing the root redundancy mask.
+    violated hyperplane lies in P in one vectorized pass, the rows whose
+    certified second foot does in another, and searches the rest, sharing
+    the root redundancy mask.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != P.dim:

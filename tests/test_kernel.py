@@ -101,14 +101,21 @@ def test_second_node_shortcut_skips_a_weakly_redundant_row(engine):
     assert np.allclose(y, [1.0, 1.0], rtol=0, atol=1e-12) and np.array_equal(Y[0], y)
     assert D[0] == pytest.approx(np.sqrt(8.0), abs=1e-12)
     assert minnorm.is_min_norm(x, y, P)
-    want = pure._search(V, S, x, [None], 1e-9, 1e-10, 1e-9, 10_000_000, None)
+    want = _search(V, S, x)
     assert want[2] == _kernel.FOUND and want[1] > 2
     assert np.allclose(want[0], y, atol=1e-12)
 
 
+def _search(V, S, x):
+    """The search alone on one row, with the default tolerances and budgets."""
+    return pure._search(V, S, x, [None], 1e-9, 1e-10, 1e-9, 10_000_000, None)
+
+
 def _criterion_decisions(monkeypatch, queries):
-    """Run `min_norm_point` on every (V, S, x) and return, per optimality
-    test of the search, (what `_kkt` said, what the strict-system LP says)."""
+    """Run the search on every (V, S, x) and return, per optimality test it
+    makes, (what `_kkt` said, what the strict-system LP says). The search
+    runs directly: `solve_many` settles some of these queries in bulk
+    without an optimality test."""
     criterion, kkt = pure._criterion, pure._kkt
     seen = []
 
@@ -123,7 +130,7 @@ def _criterion_decisions(monkeypatch, queries):
     monkeypatch.setattr(pure, "_kkt", recorded_kkt)
     monkeypatch.setattr(pure, "_criterion", recorded)
     for V, S, x in queries:
-        _kernel.min_norm_point(V, S, x)
+        _search(V, S, x)
     monkeypatch.setattr(pure, "_kkt", lambda *args: None)
     return [(said, criterion(*args)) for args, said in seen]
 
@@ -355,15 +362,16 @@ def test_engines_agree_on_min_h_mask():
 
 
 def test_solve_many_matches_single_calls(engine):
-    """Rows the search settles agree bit for bit. Rows the first projection
-    settles (2 nodes) agree to round-off: a batch takes its margins from one
-    matrix product, a single row from a matrix-vector product, and BLAS sums
-    the two in different orders. Also checks that shortcut against the
-    search: the same point, bit for bit where the search stops at its
-    second node too, and never more nodes."""
+    """Rows the search settles agree bit for bit. Rows the bulk passes settle
+    (2 nodes, or 3) agree to round-off: a batch takes its margins and
+    projections from matrix products over all its rows, a single row from
+    products over one, and BLAS sums the two in different orders. Also
+    checks those passes against the search: the same status and point, at
+    2 nodes never more than the search takes (bit for bit where it stops at
+    its second node too), at 3 nodes exactly as many."""
     gen = seeded("batch")
     families = [random_rows(3, 6, gen, lo=0.5, hi=1.5), *REDUNDANT_FAMILIES.values()]
-    shortcuts = 0
+    bulk = {2: 0, 3: 0}
     for V, S in families:
         X = gen.normal(size=(25, V.shape[1])) * 2.5
         Y, D, ND, ST = _kernel.solve_many(V, S, X)
@@ -374,39 +382,45 @@ def test_solve_many_matches_single_calls(engine):
             assert ND[i] == nodes
             if status == _kernel.FOUND:
                 assert abs(D[i] - np.linalg.norm(y - x)) < 1e-12
-            if nodes != 2:
+            if nodes not in bulk:
                 assert np.array_equal(Y[i], y)
                 continue
             assert np.allclose(Y[i], y, rtol=0, atol=1e-12)
-            shortcuts += 1
-            want, want_nodes, want_status = pure._search(
-                V, S, x, [None], 1e-9, 1e-10, 1e-9, 10_000_000, None)
-            assert want_status == status and want_nodes >= 2
-            assert np.allclose(want, y, atol=1e-12)
+            bulk[nodes] += 1
+            want, want_nodes, want_status = _search(V, S, x)
+            assert want_status == status
+            assert np.allclose(want, y, rtol=0, atol=1e-12)
+            if nodes == 3:
+                assert want_nodes == 3
+                continue
+            assert want_nodes >= 2
             if want_nodes == 2:
                 assert np.array_equal(want, y)
-    assert shortcuts >= 10
+    assert bulk[2] >= 10 and bulk[3] >= 10
+
+
+# x1 <= 0 twice and x2 <= 0 in 2-D; the same with x3 <= 0 in 3-D. Three or
+# four rows are tight at a corner, so the bulk passes leave corner queries
+# to the search.
+DUPLICATE = _unit([(0, [1, 0]), (0, [1, 0]), (0, [0, 1])])
+DUPLICATE_3D = _unit([(0, [1, 0, 0]), (0, [1, 0, 0]), (0, [0, 1, 0]), (0, [0, 0, 1])])
 
 
 @pytest.mark.parametrize(
-    "family",
-    [
-        # quadrant x1 <= 0, x2 <= 0: from x1, x2 > 0 the foot on either row
-        # lies outside the other, so every query reaches the search
-        _unit([(0, [1, 0]), (0, [0, 1])]),
-        # the same with row x1 <= 0 twice: the mask keeps its lowest-index copy
-        _unit([(0, [1, 0]), (0, [1, 0]), (0, [0, 1])]),
-    ],
-    ids=["quadrant", "duplicate"],
+    "family, nodes",
+    [(DUPLICATE, 3), (DUPLICATE_3D, 4)],
+    ids=["duplicate", "duplicate-3d"],
 )
-def test_pure_batch_runs_root_mask_lps_once(monkeypatch, family):
+def test_pure_batch_runs_root_mask_lps_once(monkeypatch, family, nodes):
     """The root redundancy mask is query-independent: a batch of 50
     corner queries runs the strict-margin LPs of its 50 single-row batches,
-    less 49 runs of the root mask's."""
+    less 49 runs of the root mask's. The families are dependent, so the
+    mask is not certified by `independent_rows` and takes LPs; the mask
+    keeps the lowest-index copy of x1 <= 0."""
     V, S = family
     use_engine(monkeypatch, "python")  # its min_h_mask runs the LPs it counts
     gen = seeded("root-mask")
-    X = gen.uniform(0.5, 3.0, size=(50, 2))
+    X = gen.uniform(0.5, 3.0, size=(50, V.shape[1]))
     real = _kernel.strict_margin
     calls = []
 
@@ -418,16 +432,106 @@ def test_pure_batch_runs_root_mask_lps_once(monkeypatch, family):
 
     def lp_count(batch):
         calls.clear()
-        _, _, nodes, status = _kernel.solve_many(V, S, batch)
-        assert (status == _kernel.FOUND).all() and (nodes > 2).all()
+        _, _, got, status = _kernel.solve_many(V, S, batch)
+        assert (status == _kernel.FOUND).all() and (got == nodes).all()
         return len(calls)
 
     calls.clear()
-    _kernel.min_h_mask(V, S)
+    assert not _kernel.independent_rows(V)
+    assert _kernel.min_h_mask(V, S).tolist() == [True, False] + [True] * (len(S) - 2)
     mask = len(calls)
     assert mask >= 1  # the feet do not certify, so LPs decide the mask
     singles = sum(lp_count(X[i : i + 1]) for i in range(len(X)))
     assert lp_count(X) == singles - (len(X) - 1) * mask
+
+
+def test_root_mask_of_independent_rows_runs_no_lp(monkeypatch):
+    """The search's root mask of a family `independent_rows` certifies keeps
+    every row without an LP: a corner of the 3-D octant reaches the search
+    (four nodes) and makes LPs only for its depth >= 1 masks and criteria."""
+    V, S = _unit([(0, [1, 0, 0]), (0, [0, 1, 0]), (0, [0, 0, 1])])
+    masks = []
+    monkeypatch.setattr(_kernel, "min_h_mask", lambda *args: masks.append(args))
+    y, nodes, status = _kernel.min_norm_point(V, S, np.array([1.0, 2.0, 3.0]))
+    assert (status, nodes) == (_kernel.FOUND, 4) and masks == []
+    assert np.allclose(y, 0.0, rtol=0, atol=1e-12)
+
+
+# --- the second bulk projection of `solve_many` ------------------------------
+
+
+def _record_second_projection(monkeypatch) -> list:
+    """Wrap `pure._second_projection`; the list receives the rows it settles."""
+    settled = []
+    step = pure._second_projection
+
+    def recorded(V, S, X, *args):
+        ok, Y = step(V, S, X, *args)
+        settled.extend(zip(X[ok], Y[ok]))
+        return ok, Y
+
+    monkeypatch.setattr(pure, "_second_projection", recorded)
+    return settled
+
+
+def test_second_projection_settles_as_the_search(engine, monkeypatch):
+    """Every row the step settles gets the search's status and 3 nodes, and
+    a point within 1e-12 relative, on seeded families with duplicated,
+    parallel and opposite rows among independent ones."""
+    gen = seeded("second-projection")
+    settled = _record_second_projection(monkeypatch)
+    checked = 0
+    for trial in range(160):
+        n = int(gen.integers(2, 8))
+        V, S = random_rows(n, int(gen.integers(2, 2 * n + 6)), gen)
+        extra = trial % 4  # 0: none; 1: a duplicate; 2: a parallel row; 3: an opposite one
+        if extra:
+            V = np.vstack([V, V[0] if extra < 3 else -V[0]])
+            S = np.append(S, S[0] + (0.0, 0.3, 0.5)[extra - 1])
+        X = gen.normal(size=(5, n)) * 2.5
+        _, _, nodes, status = _kernel.solve_many(V, S, X)
+        for x, y in settled:
+            want, want_nodes, want_status = _search(V, S, x)
+            assert (want_status, want_nodes) == (_kernel.FOUND, 3)
+            assert np.abs(want - y).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        checked += len(settled)
+        settled.clear()
+    assert checked >= 100
+
+
+@pytest.mark.parametrize(
+    "family, x, nodes",
+    [
+        # three rows are tight at the corner (0, 0)
+        (DUPLICATE, [1.0, 2.0], 3),
+        # on the edge of the corner's normal cone: the multiplier of x1 <= 1
+        # at (1, 1) is 1e-8, below 1e-7 |x - y|
+        (square().matrix(), [1.0 + 1e-8, 2.0], 3),
+        # the second foot (1, 1, 2) lies outside the unit cube
+        (_unit([(1, [1, 0, 0]), (1, [0, 1, 0]), (1, [0, 0, 1])]), [2.0, 2.0, 2.0], 4),
+    ],
+    ids=["three-tight-rows", "multiplier-near-zero", "second-foot-outside"],
+)
+def test_second_projection_leaves_uncertified_rows_to_the_search(engine, monkeypatch, family,
+                                                                 x, nodes):
+    V, S = family
+    x = np.array(x)
+    settled = _record_second_projection(monkeypatch)
+    Y, _, got, status = _kernel.solve_many(V, S, x[None, :])
+    assert settled == [] and (got[0], status[0]) == (nodes, _kernel.FOUND)
+    want, want_nodes, _ = _search(V, S, x)
+    assert want_nodes == nodes and np.array_equal(want, Y[0])
+
+
+def test_second_projection_respects_the_budgets(engine):
+    V, S = square().matrix()
+    X = np.array([[2.0, 2.0], [-1.0, -1.0], [1.5, -2.0]])  # corners: 3 nodes each
+    _, _, nodes, status = _kernel.solve_many(V, S, X)
+    assert (nodes == 3).all() and (status == _kernel.FOUND).all()
+    _, _, nodes, status = _kernel.solve_many(V, S, X, node_limit=2)
+    assert (status == _kernel.NODE_BUDGET).all()
+    _, _, nodes, status = _kernel.solve_many(V, S, X, time_budget=0.0)
+    assert (status == _kernel.TIME_BUDGET).all()
 
 
 KERNEL_DIR = Path(_kernel.__file__).parent

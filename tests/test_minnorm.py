@@ -227,8 +227,20 @@ def _unbounded_wedge() -> geom.PolyhedronH:
     return geom.PolyhedronH.from_rows([(0, [1, 0, 0]), (1, [1, 1, 0])])
 
 
+def _cube() -> geom.PolyhedronH:
+    """Unit cube 0 <= x1, x2, x3 <= 1."""
+    rows = []
+    for axis in np.eye(3):
+        rows += [(1, axis), (0, -axis)]
+    return geom.PolyhedronH.from_rows(rows)
+
+
 _FACE_QUERIES = [[0.5, 3.0], [3.0, 0.2], [-2.0, 0.7], [0.1, -4.0], [0.5, 0.5]]
 _CORNER_QUERIES = [[2.0, 2.0], [-1.0, -1.0], [1.5, -2.0], [-3.0, 4.0]]
+# the unit cube from beyond a face (2 nodes), an edge (3) and a corner (4)
+_CUBE_FACES = [[0.5, 0.5, 3.0], [-2.0, 0.2, 0.7], [0.5, 0.5, 0.5]]
+_CUBE_EDGES = [[2.0, 3.0, 0.5], [-1.0, 0.5, -2.0]]
+_CUBE_CORNERS = [[2.0, 2.0, 2.0], [-1.0, 3.0, -2.0], [1.5, -2.0, 4.0], [-3.0, -1.0, -1.5]]
 
 
 def _pass_cases():
@@ -237,16 +249,19 @@ def _pass_cases():
     random_P = random_polyhedron(4, 9, gen)
     return [
         ("faces", square(), np.array(_FACE_QUERIES), "none"),
-        ("faces-and-corners", square(),
-         np.repeat(np.array(_FACE_QUERIES + _CORNER_QUERIES), 2, axis=0), "some"),
-        ("corners", square(), np.array(_CORNER_QUERIES + [[0.5, 0.5]]), "all"),
+        ("faces-edges-and-corners", _cube(),
+         np.repeat(np.array(_CUBE_FACES + _CUBE_EDGES + _CUBE_CORNERS), 2, axis=0), "some"),
+        ("corners", _cube(), np.array(_CUBE_CORNERS + [[0.5, 0.5, 0.5]]), "all"),
         # rows 0 and 1 tie for the largest margin wherever x1 > 1
         ("duplicate-halfspace", _square_with_row_0_twice(),
          np.array([[3.0, 0.5], [2.0, 2.0], [4.0, -1.0], [1.5, 0.25]]), "some"),
-        # (3, 3) is settled on row 4, which touches the set only at (1, 1)
+        # (3, 3) is settled on row 4, which touches the set only at (1, 1);
+        # (2, 1.5) reaches (1, 1), where rows 0, 1 and 4 are tight
         ("weakly-redundant", pentad(),
-         np.array([[3.0, 3.0], [0.0, 5.0], [5.0, -5.0], [-5.0, 0.5], [0.0, 0.0]]), "some"),
-        ("unbounded", _unbounded_wedge(), gen.normal(size=(200, 3)) * 3, "some"),
+         np.array([[3.0, 3.0], [0.0, 5.0], [5.0, -5.0], [-5.0, 0.5], [0.0, 0.0],
+                   [2.0, 1.5]]), "some"),
+        # two independent rows: every nearest point is a foot on one or both
+        ("unbounded", _unbounded_wedge(), gen.normal(size=(200, 3)) * 3, "none"),
         ("random", random_P, gen.normal(size=(300, 4)) * 3, "some"),
     ]
 
@@ -281,17 +296,28 @@ def test_kmeans_cells_never_reach_the_search(monkeypatch):
 
 def test_search_receives_exactly_the_rows_left_over(monkeypatch):
     # On an irredundant family the search's first pivot is the most violated
-    # face, so a row is left over iff its solve takes more than 2 nodes.
+    # face, and its second the most violated projected face. So a row is left
+    # over iff its solve takes more than 3 nodes, or 3 nodes at a point the
+    # KKT multipliers of exactly two tight rows do not certify (here: the
+    # corners of the square with row 0 twice, where three rows are tight).
     gen = seeded("first-projection-leftover")
     cases = [
-        (square(), np.array(_FACE_QUERIES + _CORNER_QUERIES)),
+        (_cube(), np.array(_CUBE_FACES + _CUBE_EDGES + _CUBE_CORNERS)),
+        (_square_with_row_0_twice(), np.array(_FACE_QUERIES + _CORNER_QUERIES)),
         (geom.min_h_description(random_polyhedron(4, 9, gen)), gen.normal(size=(300, 4)) * 3),
     ]
     for P, X in cases:
         V, S = P.matrix()
-        _, _, nodes, status = _kernel.solve_many(V, S, X)
-        left = X[(status == _kernel.FOUND) & (nodes > 2)]
-        assert 0 < len(left) < (status == _kernel.FOUND).sum()
+        Y, _, nodes, status = _kernel.solve_many(V, S, X)
+        found = status == _kernel.FOUND
+        certified = np.zeros(len(X), dtype=bool)
+        for i in np.flatnonzero(found & (nodes == 3)):
+            m = V @ Y[i] - S
+            w = X[i] - Y[i]
+            certified[i] = ((m >= -1e-9).sum() == 2
+                            and pure._kkt(V, m, w, np.linalg.norm(w), 1e-9) is True)
+        left = X[found & ((nodes > 3) | ((nodes == 3) & ~certified))]
+        assert 0 < len(left) < found.sum()
         seen = _record_searched(monkeypatch)
         minnorm.signed_distances(P, X)
         monkeypatch.undo()
