@@ -7,8 +7,12 @@ polyhedron in one vectorized pass before any search, and in a second pass
 the rows whose second projection lands there with KKT multipliers that
 certify it; `min_norm_point` is `solve_many` on one row.
 `independent_rows` is the rank certificate that lets callers, and the
-search's root mask, skip the LPs for a family of linearly independent
-rows.
+search's masks, skip the LPs for a family of linearly independent rows.
+The search's depth >= 1 masks decide families confined to a line or a
+plane without an LP as well, so `strict_margin` runs there only for
+families that linear algebra leaves undecided (near-parallel rows,
+vertices near a third line, empty regions) and for criteria `_kkt`
+leaves open.
 
 A simplex breakdown inside an LP primitive (a ``RuntimeError`` from either
 engine, e.g. on two rows a few nanoradians apart) leaves this module as

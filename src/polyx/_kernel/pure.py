@@ -14,10 +14,14 @@ certified by their KKT multipliers, in a second one
 Linear algebra decides first wherever it can, and the LPs decide the rest.
 `independent_rows` certifies that a family of unit rows is linearly
 independent with margin; such a family is its own minimum description
-(`geom` and the search's root mask use it), and it lets the search's
+(`geom` and the search's masks use it), and it lets the search's
 optimality criterion read the answer off the KKT multipliers of the rows
 tight at a candidate (`_kkt`) before it falls back to the strict-system
-LP.
+LP. The search's depth >= 1 redundancy masks (`_search_mask`) also decide
+families confined to a line or a plane exactly (`_line_mask`,
+`_plane_mask`), and run the mask LPs (`_necessity_mask`) only on what
+those leave undecided. `min_h_mask`, the root and `geom` primitive, keeps
+its LPs.
 
 Status codes returned by ``min_norm_point``:
     0  found (query outside, exact point returned)
@@ -51,6 +55,7 @@ _KKT_LAMBDA = 1e-7   # |lambda| / |x - y| below which a multiplier is undecided
 _KKT_SLACK = 1e-6    # margin below which a row not tight at y is clearly slack
 _KKT_RESIDUAL = 1e-9  # |x - y - lambda V| / |x - y| above which the solve is not trusted
 _BULK_ELEMS = 1 << 18  # rows x k x dim entries per block of the second pass: 2 MB arrays
+_MASK_MARGIN = 1e-7  # by how much a linear-algebra bound on an LP value must clear strict_tol
 
 
 class _Stop(Exception):
@@ -168,7 +173,8 @@ def strict_margin(A: np.ndarray, b: np.ndarray) -> float:
 
 
 def _necessity_mask(V, S, feet, strict_tol):
-    """Irredundancy mask for the halfspace family (V unit rows, offsets S).
+    """Irredundancy mask for the halfspace family (V unit rows, offsets S),
+    by LPs: `min_h_mask`, and the families `_search_mask` leaves undecided.
 
     feet[i] must be a point on hyperplane i (any one). A halfspace whose foot
     is strictly interior to every other halfspace is provably necessary and
@@ -195,6 +201,114 @@ def _necessity_mask(V, S, feet, strict_tol):
         if _kernel.strict_margin(VV[sel], SS[sel]) <= strict_tol:
             keep[i] = False
         sel[k + i] = False
+    return keep
+
+
+def _search_mask(V, S, feet, U, strict_tol):
+    """Irredundancy mask of a family the search reaches at depth >= 1.
+
+    V holds unit rows orthogonal to the orthonormal rows of U (the search's
+    pivot directions), S the offsets and feet[i] a point on hyperplane i.
+    Linear algebra decides first. A family that passes `independent_rows`
+    keeps every row. A family confined to a line or a plane (at most two
+    directions left orthogonal to U) is expressed in an orthonormal basis
+    of that complement and decided exactly (`_line_mask`, `_plane_mask`).
+    Whatever those leave undecided goes to the LPs of `_necessity_mask`.
+    Each path gives the mask the LPs give, duplicates keeping their
+    lowest-index copy.
+    """
+    if independent_rows(V):
+        return np.ones(V.shape[0], dtype=bool)
+    d, n = U.shape
+    if n - d <= 2:
+        Q = np.linalg.qr(U.T, mode="complete")[0][:, d:]
+        A = V @ Q
+        keep = _line_mask(A[:, 0], S, strict_tol) if n - d == 1 else _plane_mask(A, S, strict_tol)
+        if keep is not None:
+            return keep
+    return _necessity_mask(V, S, feet, strict_tol)
+
+
+def _line_mask(a, S, strict_tol):
+    """Mask of the family a_i z <= S_i on a line (a_i = ±1 up to round-off),
+    or None when the strict-system LPs could decide it otherwise.
+
+    Each side keeps its tightest bound, the lowest index on ties, and drops
+    the rest: while that row is retained, a looser or equal bound on its side
+    cannot be violated with the others strictly satisfied (its LP value is
+    at most 0). The kept row's LP value is at least
+    min(1, (second - max(tightest, opposite)) / 2), from the next distinct
+    bound on its side and the tightest one on the other; when that does
+    not clear strict_tol by `_MASK_MARGIN` (near-ties, or an opposite
+    bound past the next one, where the LPs can keep a looser row) the LPs
+    decide.
+    """
+    b = S / np.abs(a)
+    up = a > 0
+    keep = np.zeros(len(a), dtype=bool)
+    for side in (up, ~up):
+        if not side.any():
+            continue
+        bs = np.where(side, b, np.inf)
+        first = int(bs.argmin())  # lowest index on ties
+        looser = bs[bs > bs[first]]
+        second = looser.min() if looser.size else np.inf
+        other = np.where(side, np.inf, b).min()  # the opposite side's tightest
+        if (second - max(bs[first], -other)) / 2 <= strict_tol + _MASK_MARGIN:
+            return None
+        keep[first] = True
+    return keep
+
+
+def _plane_mask(A, S, strict_tol):
+    """Mask of the family A_i w <= S_i in the plane (unit rows A, k x 2),
+    or None when the strict-system LPs could decide it otherwise.
+
+    Exact duplicates (equal rows and offsets) keep their lowest-index copy.
+    Any other pair of rows within `_RANK_TAU` of the same direction leaves
+    the family to the LPs; opposite rows are fine. Then each line i is
+    clipped by every other halfplane: on w(s) = S_i A_i + s p_i (p_i = A_i
+    turned by 90°), row j bounds s at (S_j - S_i cos_ij) / sin_ij, from
+    above where sin_ij = p_i·A_j > 0. A row is necessary when the middle of
+    its clip is strictly inside every other halfplane, by σ: stepping σ/2
+    beyond line i from there gives its LP a value of at least min(1, σ/2),
+    which must clear strict_tol by `_MASK_MARGIN`. That middle lies in the
+    region, so once one row is necessary the region is not empty, and a
+    row whose clip is empty is redundant: its line misses the region of
+    the other rows, which then lies inside its halfplane. So does the
+    region of any family that keeps the necessary rows, as every LP's does,
+    since rows strictly redundant in a non-empty region can all go at once.
+    Families with a row that neither test decides (a vertex near a third
+    line, an empty or degenerate region) go to the LPs.
+    """
+    k = A.shape[0]
+    C = A @ A.T  # C[i, j] = A_i·A_j, the cosine
+    Pa = A[:, ::-1] * np.array([-1.0, 1.0])  # the p_i
+    X = Pa @ A.T  # X[i, j] = p_i·A_j, the sine from row i to row j
+    same = (C > 0.0) & (np.abs(X) <= _RANK_TAU)
+    dup = same & (A[:, None, :] == A[None, :, :]).all(2) & (S[:, None] == S[None, :])
+    if (same & ~dup).any():
+        return None
+    u = (~np.tril(dup, -1).any(1)).nonzero()[0]  # the lowest-index copies
+    if len(u) < k:
+        A, S, Pa, C, X = A[u], S[u], Pa[u], C[np.ix_(u, u)], X[np.ix_(u, u)]
+    R = S[None, :] - S[:, None] * C
+    bound = np.divide(R, X, out=np.zeros_like(R), where=np.abs(X) > _RANK_TAU)
+    h = np.where(X > _RANK_TAU, bound, np.inf).min(1)
+    l = np.where(X < -_RANK_TAU, bound, -np.inf).max(1)
+    empty = l > h
+    # the middle of [l, h], or one step inside it when a side is open
+    hf, lf = np.isfinite(h), np.isfinite(l)
+    l = np.where(lf, l, np.where(hf, h - 2.0, -1.0))
+    h = np.where(hf, h, l + 2.0)
+    W = S[:, None] * A + ((l + h) / 2)[:, None] * Pa
+    slack = S[None, :] - W @ A.T
+    np.fill_diagonal(slack, np.inf)
+    need = slack.min(1) / 2 > strict_tol + _MASK_MARGIN
+    if not need.any() or not (need | empty).all():
+        return None
+    keep = np.zeros(k, dtype=bool)
+    keep[u] = need
     return keep
 
 
@@ -409,7 +523,9 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
     does not depend on x. It is computed at the first depth-0 expansion
     (inside the node and time budgets), without an LP when the family
     passes `independent_rows`, and left in root[0] for any later query on
-    the same family. Candidates at depth >= 2 go through `_criterion`.
+    the same family. Deeper families depend on the node and take
+    `_search_mask`, which runs LPs only on what linear algebra leaves
+    undecided. Candidates at depth >= 2 go through `_criterion`.
     """
     k, n = V.shape
     margins = V @ x - S
@@ -457,7 +573,7 @@ def _search(V, S, x, root, eps, eps_dep, strict_tol, node_limit, time_budget):
                            else _kernel.min_h_mask(V, S, strict_tol))
             keep = root[0][indep]
         else:
-            keep = _necessity_mask(Ui, Ui @ y - dist, feet, strict_tol)
+            keep = _search_mask(Ui, Ui @ y - dist, feet, U[:depth], strict_tol)
         cand = (keep & (dist > eps)).nonzero()[0]
         if cand.size == 0:
             return None

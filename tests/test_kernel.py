@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import pentad, random_rows, seeded, square, use_engine
-from polyx import _kernel, cli, errors, geom, minnorm
+from polyx import _kernel, bench, cli, errors, geom, minnorm
 from polyx._kernel import pure
 
 ENGINES = _kernel.engines()
@@ -448,13 +450,220 @@ def test_pure_batch_runs_root_mask_lps_once(monkeypatch, family, nodes):
 def test_root_mask_of_independent_rows_runs_no_lp(monkeypatch):
     """The search's root mask of a family `independent_rows` certifies keeps
     every row without an LP: a corner of the 3-D octant reaches the search
-    (four nodes) and makes LPs only for its depth >= 1 masks and criteria."""
+    (four nodes). Its depth >= 1 families are independent too, and `_kkt`
+    decides its criterion, so it makes no LP at all."""
     V, S = _unit([(0, [1, 0, 0]), (0, [0, 1, 0]), (0, [0, 0, 1])])
-    masks = []
+    masks, lps = [], []
     monkeypatch.setattr(_kernel, "min_h_mask", lambda *args: masks.append(args))
+    monkeypatch.setattr(_kernel, "strict_margin", lambda *args: lps.append(args))
     y, nodes, status = _kernel.min_norm_point(V, S, np.array([1.0, 2.0, 3.0]))
-    assert (status, nodes) == (_kernel.FOUND, 4) and masks == []
+    assert (status, nodes) == (_kernel.FOUND, 4) and masks == [] and lps == []
     assert np.allclose(y, 0.0, rtol=0, atol=1e-12)
+
+
+# --- the search's depth >= 1 redundancy masks --------------------------------
+
+
+def _lp_only_mask(V, S, strict_tol=1e-9):
+    """The strict-system LP loop alone: highest index first, each row
+    flipped against the rows retained so far, dropped when no point
+    violates it with the others strictly satisfied."""
+    keep = np.ones(len(S), dtype=bool)
+    for i in range(len(S) - 1, -1, -1):
+        others = keep.copy()
+        others[i] = False
+        A = np.vstack([V[others], -V[i]])
+        b = np.append(S[others], -S[i])
+        if _kernel.strict_margin(A, b) <= strict_tol:
+            keep[i] = False
+    return keep
+
+
+def _reduced_family(gen, n, coords, S):
+    """A family as the search reaches it at depth n - dim: unit rows with
+    the given coordinates in an orthonormal basis of the complement of the
+    depth's orthonormal pivot directions U. Returns (V, S, feet, U)."""
+    coords = np.asarray(coords, dtype=float).reshape(len(S), -1)
+    d = n - coords.shape[1]
+    Q = np.linalg.qr(gen.normal(size=(n, n)))[0]
+    V = coords @ Q[:, d:].T
+    S = np.asarray(S, dtype=float)
+    return V, S, S[:, None] * V, Q[:, :d].T
+
+
+def _angles(*theta):
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def _mask_cases():
+    """name: (path, (V, S, feet, U)). Seeded planar families with duplicated,
+    opposite, parallel and nearly parallel rows."""
+    gen = seeded("search-mask")
+    plane = _angles(*gen.uniform(0, 2 * np.pi, size=12))
+    offsets = gen.uniform(0.5, 1.5, size=12)
+    # row 12 repeats row 3; row 13 is row 0 turned round, 0.2 from the origin
+    plane_rows = np.vstack([plane, plane[3], -plane[0]])
+    plane_offsets = np.append(offsets, [offsets[3], 0.2])
+    tilted = np.cos(1e-8) * plane[0] + np.sin(1e-8) * np.array([-plane[0, 1], plane[0, 0]])
+    return {
+        # three independent rows in the 3-D complement of two directions
+        "rank-certificate": ("certificate", _reduced_family(
+            gen, 5, gen.normal(size=(3, 3)) / np.sqrt(3.0), gen.uniform(0.5, 1.5, size=3))),
+        # z <= 0.5, z <= 0.2 twice, z >= -0.3, z >= -0.9, z <= 1: rows 1 and 3 stay
+        "rank-1": ("line", _reduced_family(
+            gen, 3, [1, 1, -1, 1, -1, 1], [0.5, 0.2, 0.3, 0.2, 0.9, 1.0])),
+        "rank-1-opposite-only": ("line", _reduced_family(gen, 4, [-1, -1, -1], [0.4, 0.1, 0.1])),
+        "rank-2": ("plane", _reduced_family(gen, 3, plane_rows, plane_offsets)),
+        "rank-2-square": ("plane", _reduced_family(
+            gen, 4, _angles(0, np.pi / 2, np.pi, 3 * np.pi / 2, np.pi / 4), [1, 1, 0, 0, 2])),
+        # the bound 0.2 + 1e-10 ties with 0.2 to within the LPs' tolerance
+        "rank-1-near-tie": ("lp", _reduced_family(gen, 3, [1, 1, -1], [0.2 + 1e-10, 0.2, 0.3])),
+        # z <= 0.5, z <= 0 and z >= 1: empty, and the LPs keep the looser bound
+        "rank-1-empty": ("lp", _reduced_family(gen, 3, [1, 1, -1], [0.5, 0.0, -1.0])),
+        # row 12 is parallel to row 3 and looser
+        "rank-2-parallel": ("lp", _reduced_family(
+            gen, 3, np.vstack([plane, plane[3]]), np.append(offsets, offsets[3] + 0.3))),
+        "rank-2-nearly-parallel": ("lp", _reduced_family(
+            gen, 3, np.vstack([plane, tilted]), np.append(offsets, offsets[0] + 0.1))),
+        # the unit square's sides flipped round: no point satisfies all four
+        "rank-2-empty": ("lp", _reduced_family(
+            gen, 3, _angles(0, np.pi / 2, np.pi, 3 * np.pi / 2), [-1, -1, -1, -1.5])),
+        # x1 <= 1, x2 <= 1 and x1 + x2 <= 2 meet at one vertex
+        "rank-2-vertex-on-a-third-line": ("lp", _reduced_family(
+            gen, 3, np.vstack([_angles(0, np.pi / 2, np.pi, 3 * np.pi / 2), _angles(np.pi / 4)]),
+            [1, 1, 0, 0, np.sqrt(2.0)])),
+        # the same with the corner (1, 1) cut off by 1e-8: a necessary row
+        # whose edge is too short to certify
+        "rank-2-corner-cut-by-1e-8": ("lp", _reduced_family(
+            gen, 3, np.vstack([_angles(0, np.pi / 2, np.pi, 3 * np.pi / 2), _angles(np.pi / 4)]),
+            [1, 1, 0, 0, (2 - 1e-8) / np.sqrt(2.0)])),
+        "rank-3": ("lp", _reduced_family(
+            gen, 4, np.vstack([np.eye(3), -np.eye(3), np.ones(3) / np.sqrt(3.0)]),
+            [1, 1, 1, 0, 0, 0, 2.0 / np.sqrt(3.0)])),
+    }
+
+
+MASK_CASES = _mask_cases()
+
+
+@pytest.mark.parametrize("case", list(MASK_CASES))
+def test_search_mask_paths_match_the_lp_masks(engine, monkeypatch, case):
+    """Each mask path gives the LP loop's mask, duplicates keeping their
+    lowest-index copy; the certified paths make no LP."""
+    path, (V, S, feet, U) = MASK_CASES[case]
+    want = _lp_only_mask(V, S)
+    decided = []
+    for name in ("_line_mask", "_plane_mask"):
+        real = getattr(pure, name)
+
+        def spy(*args, real=real, name=name):
+            got = real(*args)
+            if got is not None:
+                decided.append(name)
+            return got
+
+        monkeypatch.setattr(pure, name, spy)
+    lps = []
+    real_lp = _kernel.strict_margin
+    monkeypatch.setattr(_kernel, "strict_margin", lambda A, b: lps.append(A.shape) or real_lp(A, b))
+    keep = pure._search_mask(V, S, feet, U, 1e-9)
+    assert keep.tolist() == want.tolist()
+    took = {"_line_mask": "line", "_plane_mask": "plane"}[decided[0]] if decided else (
+        "lp" if lps else "certificate")
+    assert took == path
+    assert (len(lps) > 0) == (path == "lp")
+    if case == "rank-1":
+        assert keep.tolist() == [False, True, True, False, False, False]
+    if case == "rank-1-empty":
+        assert keep.tolist() == [True, False, True]
+    if case == "rank-2":
+        assert not keep[12] and keep[13]  # the copy goes, the opposite row bounds the strip
+
+
+def _search_cases():
+    """(label, V, S, queries): the benchmark's four families and the
+    redundant and duplicated families of this module."""
+    gen = seeded("search-masks")
+    cases = []
+    for n, k in ((3, 20), (3, 100), (15, 15), (28, 28)):
+        for rep in range(3):
+            P, x = bench.random_polyhedron(n, k, 1000 * k + rep)
+            V, S = P.matrix()
+            cases.append((f"n={n},k={k},rep={rep}", V, S,
+                          np.vstack([x, gen.normal(size=(3, n)) * 2.0])))
+    families = {**REDUNDANT_FAMILIES, "duplicate": DUPLICATE, "duplicate-3d": DUPLICATE_3D}
+    for name, (V, S) in families.items():
+        cases.append((name, V, S, gen.normal(size=(20, V.shape[1])) * 2.5))
+    return cases
+
+
+def test_search_masks_leave_the_search_unchanged(engine, monkeypatch):
+    """`_search` reaches the same statuses, node counts and bit-identical
+    points with the linear-algebra masks as with the LP loop alone, and
+    these solves make no mask LP."""
+    cases = _search_cases()
+    mask_lps, inside = [], []
+    real_lp, real_mask = _kernel.strict_margin, pure._search_mask
+
+    def lp(A, b):
+        if inside:
+            mask_lps.append(A.shape)
+        return real_lp(A, b)
+
+    def mask(*args):
+        inside.append(True)
+        try:
+            return real_mask(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_kernel, "strict_margin", lp)
+    monkeypatch.setattr(pure, "_search_mask", mask)
+    got = [[_search(V, S, x) for x in X] for _, V, S, X in cases]
+    assert mask_lps == []
+    monkeypatch.setattr(pure, "_search_mask", lambda V, S, feet, U, tol: _lp_only_mask(V, S, tol))
+    found = 0
+    for (label, V, S, X), runs in zip(cases, got):
+        for x, (y, nodes, status) in zip(X, runs):
+            want_y, want_nodes, want_status = _search(V, S, x)
+            assert (status, nodes) == (want_status, want_nodes), label
+            assert np.array_equal(y, want_y), label
+            found += status == _kernel.FOUND and nodes > 2
+    assert found >= 40
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(2, 4),
+    k=st.integers(3, 10),
+    rows=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    weights=st.one_of(st.none(), st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0))),
+    looser=st.floats(0.01, 1.0),
+    scale=st.sampled_from([1.0, 0.3]),
+)
+def test_implied_halfspace_changes_no_answer(seed, n, k, rows, weights, looser, scale):
+    """Appending a halfspace the family implies, a duplicate (weights None)
+    or a positive combination of two rows with a looser offset, changes
+    neither the status nor the point, nor the signed distance."""
+    P, x = bench.random_polyhedron(n, k, seed)
+    x = x * scale  # 0.3 puts some queries inside
+    V, S = P.matrix()
+    i, j = rows[0] % k, rows[1] % k
+    if weights is None:
+        v, s = V[i], S[i]
+    else:
+        v = weights[0] * V[i] + weights[1] * V[j]
+        norm = np.linalg.norm(v)
+        assume(norm > 0.1)
+        v, s = v / norm, (weights[0] * S[i] + weights[1] * S[j] + looser) / norm
+    Q = geom.PolyhedronH.from_rows(list(zip(S, V)) + [(s, v)])
+    y, _, status = _kernel.min_norm_point(V, S, x)
+    y2, _, status2 = _kernel.min_norm_point(*Q.matrix(), x)
+    assert status2 == status
+    assert np.allclose(y2, y, rtol=0, atol=1e-9 * max(1.0, np.abs(y).max()))
+    d, d2 = minnorm.signed_distance(P, x), minnorm.signed_distance(Q, x)
+    assert d2 == pytest.approx(d, rel=0, abs=1e-9 * max(1.0, abs(d)))
 
 
 # --- the second bulk projection of `solve_many` ------------------------------
