@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernel, errors, geom, qp_baseline, rng as rngmod
+from . import _kernel, errors, geom, minnorm, qp_baseline, rng as rngmod
 
 _ATTEMPTS = 1000
 _CERT_MARGIN = 1e-7
@@ -96,7 +96,9 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
 
     The exact solver runs under the per-solve budget; a budgeted-out rep is
     kept with truncated=1 and no error value. Timing wraps the kernel call
-    alone, monotonic clock, generation excluded.
+    alone, monotonic clock, generation excluded. An exhausted search raises
+    what `minnorm.solve` raises for it (`EmptyPolyhedronError` or
+    `SearchExhaustedError`); any other unexpected status, a `PolyxError`.
     """
     rows: list[dict] = []
     for k in cfg.k_values:
@@ -106,13 +108,14 @@ def run_benchmark(cfg: BenchConfig) -> list[dict]:
             P, x = _draw_instance(n, k, gen)
             V, S = P.matrix()
             t0 = time.perf_counter_ns()
-            y, _, status = _kernel.min_norm_point(
+            y, nodes, status = _kernel.min_norm_point(
                 V, S, x, time_budget=cfg.time_budget_per_solve
             )
             exact_ns = time.perf_counter_ns() - t0
             truncated = status in (_kernel.NODE_BUDGET, _kernel.TIME_BUDGET)
             if not truncated and status != _kernel.FOUND:
-                raise RuntimeError(
+                minnorm.raise_for_status(status, nodes, V, S)
+                raise errors.PolyxError(
                     f"unexpected solver status {status} on a generated instance"
                 )
             problem = qp_baseline.QpProblem(V, S - V @ x)

@@ -13,6 +13,7 @@ import json
 import platform
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,6 +120,16 @@ def save_image(img: SpectralImage, path) -> list[Path]:
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:
+    # A plain numeric file takes NumPy's parser. Anything else (a header,
+    # quoted or empty cells, ragged rows, no rows at all, which loadtxt only
+    # warns about) falls through to the csv module, which detects the
+    # header and words the errors.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+    except (OSError, ValueError, UserWarning):
+        pass
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]

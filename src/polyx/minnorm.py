@@ -58,7 +58,8 @@ def is_min_norm(x, y, P: geom.PolyhedronH, tol: float = geom.DEFAULT_TOL) -> boo
     return _kernel.strict_margin(rows, rhs) <= STRICT_TOL
 
 
-def _raise_for_status(status: int, nodes: int, V, S) -> None:
+def raise_for_status(status: int, nodes: int, V, S) -> None:
+    """Raise the typed error for a budget or exhausted status; return on any other."""
     if status == _kernel.NODE_BUDGET:
         raise errors.BudgetExceededError(
             f"node budget exhausted after {nodes} recursion nodes"
@@ -102,7 +103,7 @@ def solve(
         y = np.asarray(y)
         y.flags.writeable = False
         return MinNormResult(y, float(np.linalg.norm(y - x)), int(nodes))
-    _raise_for_status(status, nodes, V, S)
+    raise_for_status(status, nodes, V, S)
     raise AssertionError("unreachable")
 
 
@@ -115,7 +116,7 @@ def _check_batch(status, node_limit: int, V, S) -> None:
     status = np.asarray(status)
     bad = status[status != _kernel.FOUND]
     if bad.size:
-        _raise_for_status(int(bad[0]), node_limit, V, S)
+        raise_for_status(int(bad[0]), node_limit, V, S)
 
 
 def signed_distances(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import solve_checked
-from polyx import bench, errors, geom
+from polyx import _kernel, bench, errors, geom
 
 
 def test_config_validation():
@@ -96,6 +96,24 @@ def test_run_benchmark_n_eq_k_mode():
     cfg = bench.BenchConfig("n-eq-k", (2, 3), seed=9, reps=2)
     rows = bench.run_benchmark(cfg)
     assert [(r["n"], r["k"]) for r in rows] == [(2, 2), (2, 2), (3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize(
+    "status,feasible,error",
+    [
+        (_kernel.EXHAUSTED, True, errors.SearchExhaustedError),
+        (_kernel.EXHAUSTED, False, errors.EmptyPolyhedronError),
+        (_kernel.INSIDE, True, errors.PolyxError),
+    ],
+)
+def test_run_benchmark_raises_typed_errors(monkeypatch, status, feasible, error):
+    """An exhausted search raises what minnorm.solve raises for it; any other
+    unexpected status a plain PolyxError, never a bare RuntimeError."""
+    monkeypatch.setattr(_kernel, "min_norm_point", lambda V, S, x, **kw: (x, 3, status))
+    monkeypatch.setattr(_kernel, "feasible", lambda V, S: feasible)
+    with pytest.raises(errors.PolyxError) as info:
+        bench.run_benchmark(bench.BenchConfig("fixed-n", (3,), seed=0, reps=1))
+    assert type(info.value) is error
 
 
 def test_median_time_grows_with_k():

@@ -109,6 +109,50 @@ def test_image_csv_errors(tmp_path):
         cli.load_image(p)
 
 
+CSV_CASES = {
+    "plain": "1,2\n3,4\n",
+    "header": "band0,band1\n1,2\n3,4\n",
+    "blank rows": "1,2\n\n3,4\n\n",
+    "all-empty row": "1,2\n,\n3,4\n",
+    "whitespace row": "1,2\n  \n3,4\n",
+    "quoted cells": '"1",2\n3,"4"\n',
+    "hash in a cell": "1,2\n3,#4\n",
+    "hash first": "#1,2\n3,4\n",
+    "ragged": "1,2\n3\n",
+    "trailing comma": "1,2,\n3,4,\n",
+    "one row": "1.5,-2e-3,7\n",
+    "one column": "1\n2\n3\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "empty": "",
+    "blank only": "\n\n",
+    "header only": "a,b\n",
+    "bad cell": "band0,band1\n1,2\n5,x\n",
+}
+
+
+def _read_outcome(path):
+    try:
+        data = cli._read_csv_matrix(path)
+    except errors.FormatError as exc:
+        return type(exc), str(exc)
+    return data.shape, data.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_fast_path_matches_the_csv_parser(tmp_path, monkeypatch, case):
+    """Reading through np.loadtxt first gives the same array or the same
+    error text as the csv-module parser alone."""
+    p = tmp_path / "m.csv"
+    p.write_text(CSV_CASES[case], encoding="utf-8", newline="")
+    got = _read_outcome(p)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("fast path disabled")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert got == _read_outcome(p)
+
+
 def test_parse_point():
     assert np.array_equal(cli._parse_point("1.5,-2"), [1.5, -2.0])
     with pytest.raises(errors.InputError):
@@ -352,6 +396,19 @@ def test_error_envelope_search_exhausted(tmp_path, capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "search-exhausted"
+
+
+@pytest.mark.parametrize(
+    "status,expected", [(_kernel.EXHAUSTED, "search-exhausted"), (_kernel.INSIDE, "error")]
+)
+def test_error_envelope_bench_status(tmp_path, capsys, monkeypatch, status, expected):
+    monkeypatch.setattr(_kernel, "min_norm_point", lambda V, S, x, **kw: (x, 3, status))
+    code, out, err = run_cli(
+        capsys, "bench", "--mode", "fixed-n", "--k", "2", "--reps", "1",
+        "--out", str(tmp_path / "b.csv"),
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == expected
 
 
 def test_error_envelope_io(tmp_path, capsys):
