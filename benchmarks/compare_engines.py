@@ -1,6 +1,6 @@
 """Timing of the one exact search on the compiled and the pure primitives.
 
-The search always runs in Python; an engine supplies only its LP and SVM
+The search always runs in Python; an engine supplies only its LP
 primitives (`_kernel.PRIMITIVES`). Each engine's primitives are bound in
 turn, the search gets identical certified instances on both, the answers
 must agree (statuses and node counts equal, points to 1e-9), and per-k
@@ -8,13 +8,6 @@ medians are printed with the speedup of the compiled primitives. Each
 instance is timed twice: one query through `min_norm_point` (best of 3), and
 one batch of 64 exterior queries through `solve_many`, the path the pixel
 pipeline takes, which computes the root redundancy mask once per batch.
-
-The SVM rows time both engines' `svm_pair` on the one-vs-one pairs that
-`polyx unmix --classifier gmm-svm` fits on the benchmark's own cubes
-(`perfbench/workloads.py`): the six cubes of the first two cube-svm-prob
-passes at the full 1000-epoch sweep, and the largest pair of one 95x95 px,
-156-band cube of the same recipe (Samson-sized) at capped epochs. They
-print the largest |w_native - w_python| next to the times.
 
 The signed_distances rows time `minnorm.signed_distances` on each engine's
 primitives over the batches `polyx unmix --mode probability` hands it:
@@ -39,7 +32,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import statistics
 import sys
 import time
@@ -54,10 +46,7 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  the benchmark's cube generator
 
 BATCH = 64
-SVM_CUBE = workloads.WORKLOADS["cube-svm-prob"]
-SVM_SAMSON = dataclasses.replace(SVM_CUBE, width=95, height=95, bands=156)
-SVM_PASSES = 2
-SAMSON_EPOCHS = (5, 30, 200)
+CUBE_PASSES = 2  # benchmark passes whose cubes the distance rows use
 DISTANCE_WORKLOADS = ("samson-kmeans-prob", "cube-svm-prob")
 
 
@@ -75,7 +64,7 @@ def exterior_batch(V, S, seed: int) -> np.ndarray:
 
 @contextlib.contextmanager
 def primitives(impl):
-    """Bind `impl`'s LP and SVM primitives in `_kernel` for the block."""
+    """Bind `impl`'s LP primitives in `_kernel` for the block."""
     saved = {name: getattr(_kernel, name) for name in _kernel.PRIMITIVES}
     for name, fn in _kernel.primitives(impl).items():
         setattr(_kernel, name, fn)
@@ -111,56 +100,10 @@ def time_batch(V, S, X, budget: float) -> tuple[int, np.ndarray, np.ndarray, np.
     return ns, np.asarray(Y), np.asarray(nodes), np.asarray(status)
 
 
-def svm_pairs(spec: workloads.CubeSpec, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (augmented rows, +-1 labels) pairs that the CLI's gmm-svm fit
-    (`cli._fit_partition`, the benchmark's classifier seed) hands to
-    `svm_pair` on the benchmark cube of `seed`, recorded as the fit runs."""
-    img, _ = workloads.make_cube(spec, seed)
-    pairs, sweep = [], _kernel.svm_pair
-
-    def record(Xa, t, *args):
-        pairs.append((np.array(Xa), np.array(t)))
-        return sweep(Xa, t, *args)
-
-    _kernel.svm_pair = record
-    try:
-        cli._fit_partition(img.data, "gmm-svm", spec.classes, workloads.CLASSIFIER_SEED)
-    finally:
-        _kernel.svm_pair = sweep
-    return pairs
-
-
 def _cube_seeds(seed: int) -> list[int]:
-    """Cube seeds of the first SVM_PASSES benchmark passes of `seed`."""
+    """Cube seeds of the first CUBE_PASSES benchmark passes of `seed`."""
     return [workloads.sub_seed(seed, p, r)
-            for p in range(SVM_PASSES) for r in range(workloads.CUBES_PER_PASS)]
-
-
-def time_svm(engines, pairs, epochs: int) -> tuple[dict, float]:
-    """Seconds each engine spends on all pairs, and the largest |w| gap."""
-    seconds, ws = {}, {}
-    for name, impl in engines.items():
-        t0 = time.perf_counter()
-        ws[name] = [np.asarray(impl.svm_pair(Xa, t, 1.0, epochs)) for Xa, t in pairs]
-        seconds[name] = time.perf_counter() - t0
-    gap = max(float(np.abs(wn - wp).max()) for wn, wp in zip(ws["native"], ws["python"]))
-    return seconds, gap
-
-
-def run_svm(args) -> None:
-    engines = _native_and_pure()
-    seeds = _cube_seeds(args.seed)
-    cube_pairs = [p for seed in seeds for p in svm_pairs(SVM_CUBE, seed)]
-    samson = max(svm_pairs(SVM_SAMSON, seeds[0]), key=lambda p: len(p[1]))
-    cube_label = f"14x14x32, {len(cube_pairs)} pairs of {len(seeds)} cube-svm-prob cubes"
-    cases = [(cube_label, cube_pairs, 1000)]
-    samson_label = f"95x95x156, largest pair (m={len(samson[1])})"
-    cases += [(samson_label, [samson], e) for e in SAMSON_EPOCHS]
-    for label, pairs, epochs in cases:
-        seconds, gap = time_svm(engines, pairs, epochs)
-        print(f"svm {label}, {epochs} epochs: native {seconds['native']:.3f} s"
-              f"  python {seconds['python']:.3f} s"
-              f"  x{seconds['python'] / seconds['native']:.1f}  max|dw| {gap:.1e}")
+            for p in range(CUBE_PASSES) for r in range(workloads.CUBES_PER_PASS)]
 
 
 def distance_batches(spec: workloads.CubeSpec, seeds) -> list:
@@ -180,7 +123,7 @@ def time_distances(impl, batches) -> tuple[float, dict, int, list]:
     """Best-of-3 seconds `signed_distances` takes over all batches on
     `impl`'s primitives, the rows one pass settles in each stage of
     `solve_many` (keys "first", "second", "search"), the LP primitive calls
-    one pass makes through `_kernel` (`_kernel.LPS`; a compiled
+    one pass makes through `_kernel` (`_kernel.PRIMITIVES`; a compiled
     `min_h_mask` runs its LPs in C and counts as one call), and the
     distances."""
     settled = dict.fromkeys(("first", "second", "search"), 0)
@@ -213,7 +156,7 @@ def time_distances(impl, batches) -> tuple[float, dict, int, list]:
     pure._search = counted_search
     try:
         with primitives(impl):
-            for name in _kernel.LPS:
+            for name in _kernel.PRIMITIVES:
                 setattr(_kernel, name, lp(getattr(_kernel, name)))
             seconds = []
             for _ in range(3):
@@ -323,7 +266,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.k_values = cli._parse_k_values(args.k)
     rows = run(args)
-    run_svm(args)
     run_distances(args)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

@@ -6,10 +6,10 @@ H-descriptions, an ADMM baseline for comparison, and builds on those a
 small hyperspectral unmixing pipeline (clustering, polyhedral partitions,
 abundance and probability maps) plus a reproducible benchmark harness.
 
-The exact search runs in Python on LP and SVM primitives that come from a
-compiled extension when present and from pure NumPy twins with identical
-semantics otherwise; set POLYX_PURE=1 to force the fallback. `polyx.ENGINE`
-names the active choice.
+The exact search runs in Python on LP primitives that come from a compiled
+extension when present and from pure NumPy twins with identical semantics
+otherwise; set POLYX_PURE=1 to force the fallback. `polyx.ENGINE` names the
+active choice. The SVM fit is one NumPy interior-point solver under both.
 """
 
 __version__ = "0.1.0"

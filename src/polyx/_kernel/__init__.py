@@ -1,7 +1,9 @@
-"""Kernel selection: LP and SVM primitives from the compiled extension when
-present, from pure NumPy otherwise. The one search (`min_norm_point`,
-`solve_many`, in ``pure``) calls its LPs through this module, so it runs on
-whichever primitives are bound here; ``native``'s own search is unused.
+"""Kernel selection: LP primitives from the compiled extension when present,
+from pure NumPy otherwise. The one search (`min_norm_point`, `solve_many`,
+in ``pure``) calls its LPs through this module, so it runs on whichever
+primitives are bound here; ``native``'s own search and SVM sweep are
+unused. `svm_pair` is ``pure``'s interior-point SVM under either engine,
+and `SVM_GAP` the relative duality gap that certifies its fits.
 `solve_many` settles the rows whose first projection lands in the
 polyhedron in one vectorized pass before any search, and in a second pass
 the rows whose second projection lands there with KKT multipliers that
@@ -41,8 +43,8 @@ INSIDE = pure.INSIDE
 NODE_BUDGET = pure.NODE_BUDGET
 TIME_BUDGET = pure.TIME_BUDGET
 EXHAUSTED = pure.EXHAUSTED
-PRIMITIVES = ("feasible", "strict_margin", "min_h_mask", "svm_pair")
-LPS = ("feasible", "strict_margin", "min_h_mask")  # the primitives that run the simplex
+SVM_GAP = pure.SVM_GAP
+PRIMITIVES = ("feasible", "strict_margin", "min_h_mask")  # each runs the simplex
 
 _impl = pure
 ENGINE = "python"
@@ -75,15 +77,14 @@ def _typed(lp):
 
 def primitives(impl) -> dict:
     """`impl`'s primitives by name, as this module binds them."""
-    return {name: _typed(getattr(impl, name)) if name in LPS else getattr(impl, name)
-            for name in PRIMITIVES}
+    return {name: _typed(getattr(impl, name)) for name in PRIMITIVES}
 
 
 _bound = primitives(_impl)
 feasible = _bound["feasible"]
 strict_margin = _bound["strict_margin"]
 min_h_mask = _bound["min_h_mask"]
-svm_pair = _bound["svm_pair"]
+svm_pair = pure.svm_pair
 min_norm_point = pure.min_norm_point
 solve_many = pure.solve_many
 independent_rows = pure.independent_rows

@@ -1,12 +1,14 @@
 """Pure NumPy kernel: dense two-phase simplex, minimum-description mask, the
-SVM dual sweep, the rank certificate, and the one exact nearest-point search.
+interior-point SVM, the rank certificate, and the one exact nearest-point
+search.
 
-The LP and SVM primitives here are the import-time fallback for the compiled
-ones in ``native.pyx``; both implement identical semantics and tolerances.
-The search (`min_norm_point`, `solve_many`) serves both engines: it calls
-`strict_margin` and `min_h_mask` through the package, which binds them to
-whichever primitives are active. `solve_many` settles the rows the search
-would stop for at its second node in one vectorized pass
+The LP primitives here are the import-time fallback for the compiled ones
+in ``native.pyx``; both implement identical semantics and tolerances.
+`svm_pair` and the search (`min_norm_point`, `solve_many`) serve both
+engines (``native.pyx``'s own sweep and search are unused). The search
+calls `strict_margin` and `min_h_mask` through the package, which binds
+them to whichever primitives are active. `solve_many` settles the rows
+the search would stop for at its second node in one vectorized pass
 (`_first_projection`), and those it would stop for at its third node,
 certified by their KKT multipliers, in a second one
 (`_second_projection`); `min_norm_point` is `solve_many` on one row.
@@ -37,7 +39,7 @@ import time
 
 import numpy as np
 
-from .. import _kernel
+from .. import _kernel, errors
 
 FOUND = 0
 INSIDE = 1
@@ -48,8 +50,12 @@ EXHAUSTED = 4
 _RED_TOL = 1e-10     # reduced-cost threshold for entering columns
 _PIV_TOL = 1e-10     # minimum pivot magnitude
 _FEAS_TOL = 1e-9     # phase-1 objective cutoff
-_SVM_BLOCK = 64      # rows per gradient block of a sparse SVM sweep
-_SVM_DENSE = 0.25    # share of triggered rows above which the next sweep goes row by row
+SVM_GAP = 1e-9       # relative duality gap that certifies an SVM fit
+_SVM_MAX_ITER = 200  # interior-point iterations after which an SVM fit stops uncertified
+_SVM_STEP = 0.99     # share of the way to the boundary an SVM step takes
+_SVM_RIDGE = 1e-10   # ridge, relative to the largest diagonal entry, after a failed factor
+_SVM_SHIFT = 1e-3    # least distance of the starting multipliers from 0
+_SVM_PROX = 1e-10    # proximal term added to D, relative to the starting point's rho
 _RANK_TAU = 1e-6     # smallest singular value `independent_rows` certifies
 _KKT_LAMBDA = 1e-7   # |lambda| / |x - y| below which a multiplier is undecided
 _KKT_SLACK = 1e-6    # margin below which a row not tight at y is clearly slack
@@ -653,68 +659,118 @@ def solve_many(V, S, X, eps=1e-9, eps_dep=1e-10, strict_tol=1e-9,
     return Y, dist, nodes, status
 
 
-def svm_pair(Xa, t, C=1.0, epochs=1000, tol=1e-6):
-    """L1 soft-margin SVM dual coordinate descent on pre-augmented rows.
+def svm_pair(Xa, t, C=1.0):
+    """L1 soft-margin linear SVM on pre-augmented rows, solved to a certified
+    optimum by a primal-dual interior-point method on its dual.
 
-    Natural pass order, at most `epochs` sweeps, stopping when no projected
-    gradient exceeds `tol`. Returns the weight vector, one entry per column
-    of Xa (the caller appends its own bias feature).
+    The dual is the box QP min 1/2 a'ZZ'a - 1'a, 0 <= a <= C, with Z = t Xa
+    (labels of +-1 folded into the rows); the caller appends its own bias
+    feature, so there is no equality row. Each iteration is one Mehrotra
+    predictor-corrector step (sigma = (mu_aff / mu)^3, with the
+    second-order correction), taken to `_SVM_STEP` of the way to the
+    boundary. The Newton system (ZZ' + D) da = r, D = z / a + s / (C - a),
+    is solved by Sherman-Morrison-Woodbury: w's step dw solves
+    (I + Z'D^-1 Z) dw = Z'D^-1 r through one Cholesky factor of that d x d
+    matrix (d = columns of Xa), and da = D^-1 (r - Z dw). The box slack
+    C - a is an iterate of its own, so it stays positive where C - a would
+    round to 0.
 
-    Most rows of a late sweep sit at a bound with a gradient pointing out of
-    the box, so their step is a no-op. A sparse sweep finds the next row whose
-    projected gradient is nonzero from the gradients of a block of rows
-    computed at once, and skips the rows before it. An epoch that follows one
-    where more than `_SVM_DENSE` of the rows triggered runs row by row, as the
-    first one does: when nearly every row triggers, each trigger would pay
-    for a block of gradients, and a block-only sweep is about 1.3x slower
-    than this one on a 6,427 x 157 pair at 5 and 30 epochs (BENCH_svm.json).
-    Either way every row sees the `w` the row-by-row sweep would give it, so
-    the updates are the same up to round-off. The labels are folded into the
-    rows, which is exact for labels of +-1.
+    Near the optimum D^-1 would span about 1e15, and the Woodbury solve
+    then loses the accuracy the last iterations need: on some pairs with
+    C = 100 or standardized features the gap stalled above the target and
+    the iterates collapsed onto the bounds. So D carries a proximal term,
+    `_SVM_PROX` times the starting point's rho, which caps D^-1 and changes
+    the step but not the optimum it converges to (primal regularization,
+    as in Friedlander & Orban, Math. Prog. Comp. 4, 2012). When the factor
+    fails all the same, it is retried once with a ridge of `_SVM_RIDGE`
+    times its largest diagonal entry, and a second failure raises
+    `errors.ConditioningError`.
+
+    The fit stops when the relative duality gap (P(w) - 1'a + 1/2 |w|^2) /
+    max(1, P(w)) is at most `SVM_GAP`, where w = Z'a and P(w) = 1/2 |w|^2 +
+    C sum(hinge) is the primal objective. Every w is primal feasible and
+    every a in the box dual feasible, so the gap bounds how far P(w) lies
+    above the optimum. After `_SVM_MAX_ITER` iterations the fit stops
+    anyway, and the gap it returns says so.
+
+    Returns (w, a, iterations, gap): w has one entry per column of Xa, a one
+    per row.
     """
-    Xa = np.ascontiguousarray(Xa, dtype=np.float64)
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    m, n = Xa.shape
-    Xt = t[:, None] * Xa
-    q = (Xa**2).sum(axis=1)
-    alpha = [0.0] * m
-    w = np.zeros(n)
-    # Row l's projected gradient is nonzero iff g < lo[l] or g > hi[l]:
-    # [0, inf] at the lower bound, [-inf, 0] at the upper one, [0, 0] free.
-    lo = np.zeros(m)
-    hi = np.full(m, np.inf)
-    hits = m
-    for _ in range(int(epochs)):
-        dense = hits > _SVM_DENSE * m
-        worst = 0.0
-        hits = 0
-        l = 0
-        while l < m:
-            if dense:
-                g = float(w @ Xt[l]) - 1.0
-                if not (g < lo[l] or g > hi[l]):
-                    l += 1
-                    continue
-            else:
-                l1 = min(l + _SVM_BLOCK, m)
-                gb = Xt[l:l1] @ w - 1.0
-                hit = (gb < lo[l:l1]) | (gb > hi[l:l1])
-                i = int(hit.argmax())
-                if not hit[i]:
-                    l = l1
-                    continue
-                l += i
-                g = float(gb[i])
-            hits += 1
-            worst = max(worst, abs(g))
-            a = alpha[l]
-            a_new = min(max(a - g / q[l], 0.0), C)
-            if a_new != a:
-                w += (a_new - a) * Xt[l]
-                alpha[l] = a_new
-                lo[l] = 0.0 if a_new <= 0.0 or a_new < C else -np.inf
-                hi[l] = 0.0 if a_new > 0.0 else np.inf
-            l += 1
-        if worst < tol:
-            break
-    return w
+    Z = np.asarray(t, dtype=np.float64)[:, None] * np.asarray(Xa, dtype=np.float64)
+    m = Z.shape[0]
+    v = np.empty((4, m))
+    a, u, z, s = v  # the dual, its box slack C - a, and their multipliers
+    # Start from one proximal step off the box centre: the minimizer of the
+    # dual plus rho/2 |a - C/2|^2, rho = 3 mean(diag ZZ'), kept 1% of C
+    # inside the box; then z - s = ZZ'a - 1 (no dual residual), both
+    # shifted off 0 by the mean gradient's size.
+    rho = 3.0 * float(np.vdot(Z, Z)) / m or 1.0
+    rhs = np.full(m, 1.0 + 0.5 * rho * C)
+    L = _svm_factor(Z.T @ Z / rho)
+    np.clip((rhs - Z @ _svm_solve(L, Z.T @ rhs / rho)) / rho, 0.01 * C, 0.99 * C, out=a)
+    u[:] = C - a
+    g = Z @ (Z.T @ a) - 1.0
+    shift = float(np.abs(g).mean()) + _SVM_SHIFT
+    np.maximum(g, 0.0, out=z)
+    np.maximum(-g, 0.0, out=s)
+    z += shift
+    s += shift
+    dv = np.empty((4, m))
+    iterations = 0
+    while True:
+        w = Z.T @ a
+        g = Z @ w - 1.0
+        half_w2 = 0.5 * float(w @ w)
+        primal = half_w2 + C * float(np.maximum(-g, 0.0).sum())
+        gap = (primal - (float(a.sum()) - half_w2)) / max(1.0, primal)
+        if not np.isfinite(gap):
+            raise errors.ConditioningError("SVM fit lost finiteness")
+        if gap <= SVM_GAP or iterations == _SVM_MAX_ITER:
+            return w, a.copy(), iterations, gap
+        iterations += 1
+        mu = float(np.vdot(v[:2], v[2:])) / (2 * m)
+        inv_d = 1.0 / (z / a + s / u + _SVM_PROX * rho)
+        ZD = Z * inv_d[:, None]
+        L = _svm_factor(ZD.T @ Z)
+        rd = g - z + s
+
+        def step(r1, r2):
+            """Direction for the complementarity targets a z = -r1, u s = -r2;
+            returns the longest step (at most 1) inside the bounds."""
+            r = r2 / u - r1 / a - rd
+            da = inv_d * (r - Z @ _svm_solve(L, ZD.T @ r))
+            dv[0] = da
+            dv[1] = -da
+            dv[2] = -(r1 + z * da) / a
+            dv[3] = (s * da - r2) / u
+            shrink = dv < 0.0
+            return min(1.0, float((v[shrink] / -dv[shrink]).min(initial=np.inf)))
+
+        az, us = a * z, u * s
+        full = step(az, us)
+        mu_aff = float(np.vdot(v[:2] + full * dv[:2], v[2:] + full * dv[2:])) / (2 * m)
+        target = (mu_aff / mu) ** 3 * mu
+        da, dz, ds = dv[0], dv[2], dv[3]  # read before `step` overwrites them
+        reach = step(az + da * dz - target, us - da * ds - target)
+        v += min(1.0, _SVM_STEP * reach) * dv
+
+
+def _svm_factor(G):
+    """Lower Cholesky factor of I + G, with a ridge on one failure."""
+    G[np.diag_indices_from(G)] += 1.0
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        pass
+    G[np.diag_indices_from(G)] += _SVM_RIDGE * float(G.diagonal().max())
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        raise errors.ConditioningError(
+            "SVM fit: the interior-point system is not positive definite"
+        ) from None
+
+
+def _svm_solve(L, x):
+    """(L L')^-1 x by two triangular solves."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, x))

@@ -17,8 +17,7 @@ import numpy as np
 from . import _kernel, errors, geom, rng as rngmod
 
 _SVM_C = 1.0
-_SVM_TOL = 1e-6
-_SVM_EPOCHS = 1000
+_MARGIN_TOL = 1e-6  # how far below 1 a margin must fall to count as a violator
 
 
 def _as_data(data) -> np.ndarray:
@@ -363,30 +362,31 @@ def gmm_labels(model: GmmModel, data) -> np.ndarray:
     return gmm_responsibilities(model, data).argmax(axis=1)
 
 
-def _svm_pair(X: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Hinge-loss linear SVM by dual coordinate descent in the kernel.
+def _svm_pair(X: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Hinge-loss linear SVM, C = 1, solved by the kernel's interior-point
+    method to a certified optimum.
 
     The bias is the weight of an appended constant feature 1.0, so it is
-    regularized with the other weights. C = 1 and natural pass order. The
-    sweep stops when no projected gradient exceeds 1e-6 or after 1000
-    epochs, whichever comes first; on overlapping classes the cap often
-    binds, and the result is the capped sweep, not the optimum. Returns one
-    vector of length features + 1: the weights, then the bias. Both kernel
-    engines return it up to round-off.
+    regularized with the other weights, and the primal is strictly convex:
+    its optimum is unique and does not depend on the engine. Returns one
+    vector of length features + 1 (the weights, then the bias), the
+    interior-point iterations, and the relative duality gap that certifies
+    it; a gap above `_kernel.SVM_GAP` means the iteration cap stopped the
+    fit first.
     """
     m, _ = X.shape
     Xa = np.hstack([X, np.ones((m, 1))])
-    return np.asarray(_kernel.svm_pair(Xa, t, _SVM_C, _SVM_EPOCHS, _SVM_TOL))
+    w, _, iterations, gap = _kernel.svm_pair(Xa, t, _SVM_C)
+    return w, iterations, gap
 
 
 def _svm_primal(X: np.ndarray, t: np.ndarray, w: np.ndarray) -> tuple[float, int]:
     """Primal objective 1/2 |w|^2 + C sum(hinge) of a `_svm_pair` result, and
-    the count of margin violators: rows with t f(x) < 1 - 1e-6, the sweep's
-    own tolerance, so that support vectors on the margin do not count. Both
-    read `w` alone, so either kernel engine reports them."""
+    the count of margin violators: rows with t f(x) < 1 - `_MARGIN_TOL`, so
+    that support vectors on the margin do not count."""
     margins = t * (X @ w[:-1] + w[-1])
     hinge = np.maximum(0.0, 1.0 - margins)
-    violators = int((margins < 1.0 - _SVM_TOL).sum())
+    violators = int((margins < 1.0 - _MARGIN_TOL).sum())
     return 0.5 * float(w @ w) + _SVM_C * float(hinge.sum()), violators
 
 
@@ -396,8 +396,9 @@ def ovo_svm_partition(data, labels, K: int, seed: int) -> PartitionModel:
     For the (i, j) pair the decision value <w, x> + b is negative on class i,
     so class i's polyhedron takes the halfspace <x, w> <= -b and class j the
     negation. The partition assembles exactly as the Voronoi one. The
-    metadata lists, per pair, the sweep's primal objective and its margin
-    violators (`_svm_primal`).
+    metadata lists, per pair, the primal objective and the margin violators
+    (`_svm_primal`), the interior-point iterations, the relative duality
+    gap, and whether that gap certifies the fit (`converged`).
     """
     data = _as_data(data)
     labels = np.asarray(labels)
@@ -415,9 +416,12 @@ def ovo_svm_partition(data, labels, K: int, seed: int) -> PartitionModel:
         for j in range(i + 1, K):
             mask = (labels == i) | (labels == j)
             t = np.where(labels[mask] == i, -1.0, 1.0)
-            w = _svm_pair(data[mask], t)
+            w, iterations, gap = _svm_pair(data[mask], t)
             objective, violators = _svm_primal(data[mask], t, w)
-            pairs.append({"classes": [i, j], "objective": objective, "margin_violators": violators})
+            pairs.append({
+                "classes": [i, j], "objective": objective, "margin_violators": violators,
+                "iterations": iterations, "gap": gap, "converged": gap <= _kernel.SVM_GAP,
+            })
             wv, b = w[:n], float(w[n])
             if float(np.linalg.norm(wv)) < 1e-12:
                 raise errors.ConditioningError(

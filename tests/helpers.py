@@ -65,6 +65,7 @@ def seeded(label: str, index: int = 0) -> np.random.Generator:
 
 
 def use_engine(monkeypatch, name: str) -> None:
-    """Bind the named engine's LP and SVM primitives for the rest of a test."""
+    """Bind the named engine's LP primitives for the rest of a test; `svm_pair`
+    is the pure solver under either engine."""
     for attr, fn in _kernel.primitives(_kernel.engines()[name]).items():
         monkeypatch.setattr(_kernel, attr, fn)

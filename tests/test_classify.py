@@ -357,8 +357,11 @@ def test_svm_partition_metadata_lists_every_pair():
     pairs = part.metadata["svm_pairs"]
     assert [p["classes"] for p in pairs] == [[0, 1], [0, 2], [1, 2]]
     for p in pairs:
+        assert set(p) == {"classes", "objective", "margin_violators", "iterations", "gap", "converged"}
         assert isinstance(p["margin_violators"], int) and 0 <= p["margin_violators"] <= 80
         assert np.isfinite(p["objective"]) and p["objective"] > 0.0
+        assert isinstance(p["iterations"], int) and p["iterations"] >= 1
+        assert p["converged"] is True and 0.0 <= p["gap"] <= 1e-9
 
 
 def test_svm_separable_blobs_no_hinge_violations():

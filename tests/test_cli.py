@@ -262,8 +262,9 @@ def test_cmd_unmix_manifest_records_fit_counters(tmp_path, capsys, classifier):
         assert set(fit) == {"em_iterations", "svm_pairs"}
         assert fit["em_iterations"] >= 1
         [pair] = fit["svm_pairs"]
-        assert set(pair) == {"classes", "objective", "margin_violators"}
+        assert set(pair) == {"classes", "objective", "margin_violators", "iterations", "gap", "converged"}
         assert pair["classes"] == [0, 1] and pair["objective"] > 0.0
+        assert pair["iterations"] >= 1 and pair["converged"] is True and 0.0 <= pair["gap"] <= 1e-9
 
 
 def test_cmd_unmix_manifest_says_why_a_run_is_pure(tmp_path, capsys, monkeypatch):

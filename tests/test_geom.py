@@ -162,7 +162,7 @@ def test_min_h_preserves_containment():
 def _count_lps(monkeypatch) -> list:
     """Record the name of every LP primitive called through `_kernel`."""
     calls = []
-    for name in _kernel.LPS:
+    for name in _kernel.PRIMITIVES:
         real = getattr(_kernel, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):

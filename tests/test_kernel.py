@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import pentad, random_rows, seeded, square, use_engine
-from polyx import _kernel, bench, cli, errors, geom, minnorm
+from polyx import _kernel, bench, classify, cli, errors, geom, minnorm
 from polyx._kernel import pure
 
 ENGINES = _kernel.engines()
@@ -260,94 +260,177 @@ def _mixed_pair(gen, m=150, bands=32):
     return np.hstack([X, np.ones((m, 1))]), t
 
 
-# Draws whose sweeps run to the 1000-epoch cap, as many benchmark pairs do.
 MIXED_PAIRS = [_mixed_pair(seeded("svm-mixed", i)) for i in (0, 2, 3)]
 
 
-def _svm_rows(Xa, t, C=1.0, epochs=1000, tol=1e-6):
-    """Row-by-row dual coordinate descent, the sweep `svm_pair` reproduces.
-
-    Returns (w, alpha, epochs run)."""
-    m, n = Xa.shape
-    q = (Xa**2).sum(axis=1)
-    alpha = np.zeros(m)
-    w = np.zeros(n)
-    ran = 0
-    for ran in range(1, int(epochs) + 1):
-        worst = 0.0
-        for l in range(m):
-            g = t[l] * float(w @ Xa[l]) - 1.0
-            if alpha[l] <= 0.0:
-                pg = min(g, 0.0)
-            elif alpha[l] >= C:
-                pg = max(g, 0.0)
-            else:
-                pg = g
-            if pg != 0.0:
-                worst = max(worst, abs(pg))
-                a_new = min(max(alpha[l] - g / q[l], 0.0), C)
-                if a_new != alpha[l]:
-                    w += (a_new - alpha[l]) * t[l] * Xa[l]
-                    alpha[l] = a_new
-        if worst < tol:
-            break
-    return w, alpha, ran
-
-
-def _separable_pair(gen, m=60, n=3):
+def _separable_pair(gen, m=60, n=3, apart=1.5):
     X = gen.normal(size=(m, n))
     t = np.where(gen.uniform(size=m) < 0.5, -1.0, 1.0)
-    X += 1.5 * t[:, None]
+    X += apart * t[:, None]
     return np.hstack([X, np.ones((m, 1))]), t
 
 
-_SEPARABLE = _separable_pair(seeded("svm-separable"))
-# name: (Xa, t, keywords, what the reference run must show for the case to
-# test what its name says)
-SVM_CASES = {
-    **{
-        f"mixed-{i}": (*pair, {}, lambda a, ran: ran == 1000 and (a >= 1.0).mean() > 0.3)
-        for i, pair in enumerate(MIXED_PAIRS)
-    },
-    **{
-        f"epochs-{e}": (*MIXED_PAIRS[0], {"epochs": e}, lambda a, ran, e=e: ran == e)
-        for e in (0, 1, 2, 3)
-    },
-    "small-C": (*MIXED_PAIRS[0], {"C": 0.01}, lambda a, ran: (a >= 0.01).mean() > 0.9),
-    "separable": (*_SEPARABLE, {}, lambda a, ran: ran < 100),
-    "tol-0": (*_SEPARABLE, {"tol": 0.0, "epochs": 300}, lambda a, ran: ran == 300),
-    "one-row": (np.array([[0.5, -2.0, 1.0]]), np.array([1.0]), {}, lambda a, ran: a[0] > 0),
+def _one_sided_pair(gen, m=100, n=4):
+    """Three rows of one class far from the other class's cloud."""
+    X = gen.normal(size=(m, n))
+    t = -np.ones(m)
+    t[:3] = 1.0
+    X[:3] = 50.0 + 0.1 * gen.normal(size=(3, n))
+    return np.hstack([X, np.ones((m, 1))]), t
+
+
+def _standardized_pair(gen):
+    """A mixed pair with zero-mean, unit-variance bands, then the bias."""
+    Xa, t = _mixed_pair(gen)
+    X = Xa[:, :-1]
+    return np.hstack([(X - X.mean(0)) / X.std(0), Xa[:, -1:]]), t
+
+
+def _svm_primal(Xa, t, C, w):
+    return 0.5 * float(w @ w) + C * float(np.maximum(0.0, 1.0 - t * (Xa @ w)).sum())
+
+
+def _assert_svm_optimal(Xa, t, C, fit):
+    """The certified gap, and the KKT conditions of the dual read off `a`
+    itself: a in [0, C], and the dual gradient g = ZZ'a - 1 (Z = t Xa) is
+    >= -1e-4 unless a sits at C, <= 1e-4 unless a sits at 0, so about 0
+    where a is free; "at a bound" means within 1e-4 C of it."""
+    w, a, _, gap = fit
+    assert 0.0 <= gap <= _kernel.SVM_GAP
+    assert gap == pytest.approx(
+        (_svm_primal(Xa, t, C, w) - a.sum() + 0.5 * w @ w) / max(1.0, _svm_primal(Xa, t, C, w)),
+        rel=0, abs=1e-12)
+    Z = t[:, None] * Xa
+    assert np.allclose(w, Z.T @ a, rtol=0, atol=1e-9 * max(1.0, np.abs(w).max()))
+    assert ((a >= 0.0) & (a <= C)).all()
+    g = Z @ (Z.T @ a) - 1.0
+    tol = 1e-4
+    assert (g[a < (1 - tol) * C] >= -tol).all()
+    assert (g[a > tol * C] <= tol).all()
+
+
+# name: ((Xa, t), C)
+SVM_SUITE = {
+    **{f"separable-{i}": (_separable_pair(seeded("svm-separable", i)), 1.0) for i in range(3)},
+    "far-separable": (_separable_pair(seeded("svm-far"), m=400, n=6, apart=6.0), 1.0),
+    **{f"overlapping-{i}": (_separable_pair(seeded("svm-overlap", i), m=80, n=5, apart=0.3), 1.0)
+       for i in range(3)},
+    **{f"mixed-{i}": (pair, 1.0) for i, pair in enumerate(MIXED_PAIRS)},
+    **{f"one-sided-{i}": (_one_sided_pair(seeded("svm-one-sided", i)), 1.0) for i in range(3)},
+    "one-row": ((np.array([[0.5, -2.0, 1.0]]), np.array([1.0])), 1.0),
+    "one-row-negative": ((np.array([[3.0, 1.0, 1.0]]), np.array([-1.0])), 1.0),
+    **{f"C-100-{i}": (pair, 100.0) for i, pair in enumerate(MIXED_PAIRS)},
+    **{f"standardized-{i}": (_standardized_pair(seeded("svm-standardized", i)), 1.0)
+       for i in range(3)},
+    **{f"standardized-C-100-{i}": (_standardized_pair(seeded("svm-standardized", i)), 100.0)
+       for i in range(3)},
+    "small-C": (MIXED_PAIRS[0], 0.01),
 }
 
 
-@pytest.mark.parametrize("case", list(SVM_CASES))
-def test_pure_svm_sweep_matches_row_by_row_reference(case):
-    Xa, t, kwargs, regime = SVM_CASES[case]
-    w_ref, alpha, ran = _svm_rows(Xa, t, **kwargs)
-    assert regime(alpha, ran)
-    w = np.asarray(ENGINES["python"].svm_pair(Xa, t, **kwargs))
-    assert np.abs(w - w_ref).max() <= 1e-10
+@pytest.mark.parametrize("case", list(SVM_SUITE))
+def test_svm_pair_is_certified_optimal(case):
+    (Xa, t), C = SVM_SUITE[case]
+    _assert_svm_optimal(Xa, t, C, pure.svm_pair(Xa, t, C))
 
 
-@BOTH
-def test_engines_agree_on_svm_sweeps():
-    gen = seeded("parity-svm")
-    native, pure = ENGINES["native"], ENGINES["python"]
-    for trial in range(30):
-        m = int(gen.integers(4, 80))
-        n = int(gen.integers(1, 7))
-        X = gen.normal(size=(m, n))
-        t = np.where(gen.uniform(size=m) < 0.5, -1.0, 1.0)
-        if trial % 2:
-            X += t[:, None] * 1.5  # separable half the time
-        Xa = np.hstack([X, np.ones((m, 1))])
-        wn = np.asarray(native.svm_pair(Xa, t))
-        wp = np.asarray(pure.svm_pair(Xa, t))
-        assert np.allclose(wn, wp, atol=1e-9), trial
-    for i, (Xa, t) in enumerate(MIXED_PAIRS):
-        wn = np.asarray(native.svm_pair(Xa, t))
-        wp = np.asarray(pure.svm_pair(Xa, t))
-        assert np.allclose(wn, wp, atol=1e-9), f"mixed-{i}"
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**31),
+    m=st.integers(1, 60),
+    n=st.integers(1, 6),
+    apart=st.floats(0.0, 6.0),
+    C=st.sampled_from([0.01, 1.0, 100.0]),
+    scale=st.sampled_from([0.01, 1.0, 30.0]),
+    one_sided=st.booleans(),
+)
+def test_svm_pair_optimality_property(seed, m, n, apart, C, scale, one_sided):
+    """Separable, overlapping and one-sided pairs, of any size from one row,
+    at three box bounds and three feature scales, are all solved to a
+    certified optimum that meets the KKT conditions."""
+    gen = np.random.default_rng(seed)
+    t = np.where(gen.uniform(size=m) < (0.1 if one_sided else 0.5), 1.0, -1.0)
+    X = (gen.normal(size=(m, n)) + apart * t[:, None]) * scale
+    Xa = np.hstack([X, np.ones((m, 1))])
+    _assert_svm_optimal(Xa, t, C, pure.svm_pair(Xa, t, C))
+
+
+# Primal objectives of the dual coordinate-descent sweep that `svm_pair`
+# ran before the interior-point method, recorded on these inputs (pure
+# engine): the `mixed-*` sweeps stopped at their 1000-epoch cap, the
+# `epochs-*` ones at 0-3 epochs, `tol-0` at 300, and the others converged.
+# name: ((Xa, t), C, the sweep's objective)
+SWEEP_OBJECTIVES = {
+    "mixed-0": (MIXED_PAIRS[0], 1.0, 42.29472496749168),
+    "mixed-1": (MIXED_PAIRS[1], 1.0, 53.228796069206425),
+    "mixed-2": (MIXED_PAIRS[2], 1.0, 46.37334137132697),
+    "epochs-0": (MIXED_PAIRS[0], 1.0, 150.0),
+    "epochs-1": (MIXED_PAIRS[0], 1.0, 78.0029625467955),
+    "epochs-2": (MIXED_PAIRS[0], 1.0, 54.99890287958127),
+    "epochs-3": (MIXED_PAIRS[0], 1.0, 48.57262896501916),
+    "small-C": (MIXED_PAIRS[0], 0.01, 1.347576733782305),
+    "separable": (_separable_pair(seeded("svm-separable")), 1.0, 1.066298976208735),
+    "tol-0": (_separable_pair(seeded("svm-separable")), 1.0, 1.066298908552815),
+    "one-row": ((np.array([[0.5, -2.0, 1.0]]), np.array([1.0])), 1.0, 0.09523809523809523),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_OBJECTIVES))
+def test_svm_pair_is_no_worse_than_the_recorded_sweep(case):
+    """The optimum lies at or below every sweep's objective; where the sweep
+    itself converged, the two agree to the certified gap."""
+    (Xa, t), C, sweep = SWEEP_OBJECTIVES[case]
+    w, _, _, gap = pure.svm_pair(Xa, t, C)
+    objective = _svm_primal(Xa, t, C, w)
+    assert gap <= _kernel.SVM_GAP
+    assert objective <= sweep + gap * max(1.0, objective)
+
+
+def test_svm_pair_factor_failure_is_a_conditioning_error(monkeypatch):
+    """A d x d factor that fails even with its ridge raises the typed error,
+    never a bare LinAlgError; one that fails once is ridged and goes on."""
+    Xa, t = MIXED_PAIRS[0]
+    real = np.linalg.cholesky
+    calls = []
+
+    def flaky(G):
+        calls.append(len(calls))
+        if len(calls) == 3:  # the second iteration's first attempt
+            raise np.linalg.LinAlgError("not positive definite")
+        return real(G)
+
+    monkeypatch.setattr(pure.np.linalg, "cholesky", flaky)
+    _assert_svm_optimal(Xa, t, 1.0, pure.svm_pair(Xa, t, 1.0))
+    assert len(calls) > 4
+
+    def broken(G):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(pure.np.linalg, "cholesky", broken)
+    with pytest.raises(errors.ConditioningError):
+        pure.svm_pair(Xa, t, 1.0)
+
+
+def test_one_svm_serves_both_engines(monkeypatch):
+    """`svm_pair` is the pure solver whichever engine is bound, so the
+    one-vs-one partition is bitwise the same under each."""
+    assert _kernel.svm_pair is pure.svm_pair
+    assert "svm_pair" not in _kernel.PRIMITIVES
+    gen = seeded("svm-engines")
+    centers = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 1.0], [0.0, 3.0, -1.0]])
+    labels = np.repeat(np.arange(3), 40)
+    data = centers[labels] + gen.normal(scale=1.2, size=(120, 3))
+    got = {}
+    for name in sorted(ENGINES):
+        use_engine(monkeypatch, name)
+        assert _kernel.svm_pair is pure.svm_pair
+        part = classify.ovo_svm_partition(data, labels, K=3, seed=0)
+        got[name] = [p.matrix() for p in part.polyhedra]
+    for V, S in got["python"]:
+        assert np.isfinite(V).all() and np.isfinite(S).all()
+    for name, polys in got.items():
+        for (V, S), (Vp, Sp) in zip(polys, got["python"]):
+            assert np.array_equal(V, Vp) and np.array_equal(S, Sp), name
 
 
 @BOTH
