@@ -355,31 +355,75 @@ def test_svm_pair_optimality_property(seed, m, n, apart, C, scale, one_sided):
     _assert_svm_optimal(Xa, t, C, pure.svm_pair(Xa, t, C))
 
 
-# Primal objectives of the dual coordinate-descent sweep that `svm_pair`
-# ran before the interior-point method, recorded on these inputs (pure
-# engine): the `mixed-*` sweeps stopped at their 1000-epoch cap, the
-# `epochs-*` ones at 0-3 epochs, `tol-0` at 300, and the others converged.
-# name: ((Xa, t), C, the sweep's objective)
-SWEEP_OBJECTIVES = {
-    "mixed-0": (MIXED_PAIRS[0], 1.0, 42.29472496749168),
-    "mixed-1": (MIXED_PAIRS[1], 1.0, 53.228796069206425),
-    "mixed-2": (MIXED_PAIRS[2], 1.0, 46.37334137132697),
-    "epochs-0": (MIXED_PAIRS[0], 1.0, 150.0),
-    "epochs-1": (MIXED_PAIRS[0], 1.0, 78.0029625467955),
-    "epochs-2": (MIXED_PAIRS[0], 1.0, 54.99890287958127),
-    "epochs-3": (MIXED_PAIRS[0], 1.0, 48.57262896501916),
-    "small-C": (MIXED_PAIRS[0], 0.01, 1.347576733782305),
-    "separable": (_separable_pair(seeded("svm-separable")), 1.0, 1.066298976208735),
-    "tol-0": (_separable_pair(seeded("svm-separable")), 1.0, 1.066298908552815),
-    "one-row": ((np.array([[0.5, -2.0, 1.0]]), np.array([1.0])), 1.0, 0.09523809523809523),
+def _svm_rows(Xa, t, C=1.0, epochs=1000, tol=1e-6):
+    """Row-by-row dual coordinate descent, the sweep `svm_pair` ran before
+    the interior-point method. Returns (w, alpha, epochs run)."""
+    m, n = Xa.shape
+    q = (Xa**2).sum(axis=1)
+    alpha = np.zeros(m)
+    w = np.zeros(n)
+    ran = 0
+    for ran in range(1, int(epochs) + 1):
+        worst = 0.0
+        for l in range(m):
+            g = t[l] * float(w @ Xa[l]) - 1.0
+            if alpha[l] <= 0.0:
+                pg = min(g, 0.0)
+            elif alpha[l] >= C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                worst = max(worst, abs(pg))
+                a_new = min(max(alpha[l] - g / q[l], 0.0), C)
+                if a_new != alpha[l]:
+                    w += (a_new - alpha[l]) * t[l] * Xa[l]
+                    alpha[l] = a_new
+        if worst < tol:
+            break
+    return w, alpha, ran
+
+
+_SEPARABLE = _separable_pair(seeded("svm-separable"))
+# Primal objectives of the pure engine's sweep, recorded on these inputs
+# before the interior-point method replaced it: the `mixed-*` sweeps stopped
+# at their 1000-epoch cap, the `epochs-*` ones at 0-3 epochs, `tol-0` at 300,
+# and the others converged.
+# name: (Xa, t, sweep keywords, the sweep's objective, what the reference
+# run must show for the case to test what its name says)
+SVM_CASES = {
+    **{
+        f"mixed-{i}": (*pair, {}, sweep,
+                       lambda a, ran: ran == 1000 and (a >= 1.0).mean() > 0.3)
+        for i, (pair, sweep) in enumerate(
+            zip(MIXED_PAIRS, (42.29472496749168, 53.228796069206425, 46.37334137132697)))
+    },
+    **{
+        f"epochs-{e}": (*MIXED_PAIRS[0], {"epochs": e}, sweep, lambda a, ran, e=e: ran == e)
+        for e, sweep in enumerate(
+            (150.0, 78.0029625467955, 54.99890287958127, 48.57262896501916))
+    },
+    "small-C": (*MIXED_PAIRS[0], {"C": 0.01}, 1.347576733782305,
+                lambda a, ran: (a >= 0.01).mean() > 0.9),
+    "separable": (*_SEPARABLE, {}, 1.066298976208735, lambda a, ran: ran < 100),
+    "tol-0": (*_SEPARABLE, {"tol": 0.0, "epochs": 300}, 1.066298908552815,
+              lambda a, ran: ran == 300),
+    "one-row": (np.array([[0.5, -2.0, 1.0]]), np.array([1.0]), {}, 0.09523809523809523,
+                lambda a, ran: a[0] > 0),
 }
 
 
-@pytest.mark.parametrize("case", list(SWEEP_OBJECTIVES))
-def test_svm_pair_is_no_worse_than_the_recorded_sweep(case):
-    """The optimum lies at or below every sweep's objective; where the sweep
-    itself converged, the two agree to the certified gap."""
-    (Xa, t), C, sweep = SWEEP_OBJECTIVES[case]
+@pytest.mark.parametrize("case", list(SVM_CASES))
+def test_pure_svm_sweep_matches_row_by_row_reference(case):
+    """The recorded objectives of the pure sweep match the row-by-row
+    reference run on the same input, and `svm_pair`'s certified optimum
+    lies at or below each of them; where the sweep converged, the two
+    agree to the certified gap."""
+    Xa, t, kwargs, sweep, regime = SVM_CASES[case]
+    w_ref, alpha, ran = _svm_rows(Xa, t, **kwargs)
+    assert regime(alpha, ran)
+    C = kwargs.get("C", 1.0)
+    assert _svm_primal(Xa, t, C, w_ref) == pytest.approx(sweep, rel=1e-9)
     w, _, _, gap = pure.svm_pair(Xa, t, C)
     objective = _svm_primal(Xa, t, C, w)
     assert gap <= _kernel.SVM_GAP
